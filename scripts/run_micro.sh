@@ -44,13 +44,16 @@ raw_path, wall_path, out_path = sys.argv[1:4]
 
 with open(raw_path) as f:
     raw = json.load(f)
+# Google Benchmark reports real_time in each row's registered Unit().
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 current = {"benchmarks": {}, "figure_wallclock_seconds": {}}
 for b in raw["benchmarks"]:
     if b.get("run_type", "iteration") != "iteration":
         continue  # skip aggregate rows
     current["benchmarks"][b["name"]] = {
         "items_per_second": round(b.get("items_per_second", 0.0), 1),
-        "real_time_ns": round(b["real_time"], 1),
+        "real_time_ns": round(
+            b["real_time"] * NS_PER_UNIT[b.get("time_unit", "ns")], 1),
     }
 with open(wall_path) as f:
     for line in f:

@@ -12,15 +12,35 @@ namespace comb {
 namespace {
 
 constexpr std::uint64_t kHalfSub = LatencyRecorder::kSub / 2;
-// Octaves above the linear region: values with bit_width in
-// (kSubBits, 64] each get kHalfSub sub-buckets.
-constexpr unsigned kOctaves = 64 - LatencyRecorder::kSubBits;
+
+/// Quantile over bucket counts whose `count` samples all lie in
+/// [minTicks, maxTicks]: the ceil(q * count)-th sample's bucket midpoint,
+/// found by scanning only the buckets that range can occupy.
+double quantileTicks(std::span<const std::uint64_t> buckets,
+                     std::uint64_t count, std::uint64_t minTicks,
+                     std::uint64_t maxTicks, double q) {
+  if (count == 0) return 0;
+  q = std::clamp(q, 0.0, 1.0);
+  // Rank of the sample we want, 1-based: ceil(q * count), at least 1.
+  const double exact = q * static_cast<double>(count);
+  std::uint64_t rank = static_cast<std::uint64_t>(std::ceil(exact));
+  rank = std::clamp<std::uint64_t>(rank, 1, count);
+  std::uint64_t cum = 0;
+  const auto [first, end] =
+      LatencyRecorder::bucketRange(count, minTicks, maxTicks);
+  for (std::size_t b = first; b < end; ++b) {
+    cum += buckets[b];
+    if (cum >= rank) {
+      const std::uint64_t lo = LatencyRecorder::bucketLowTicks(b);
+      const std::uint64_t hi = LatencyRecorder::bucketHighTicks(b);
+      return LatencyRecorder::ticksToSeconds(lo + (hi - lo) / 2);
+    }
+  }
+  COMB_ASSERT(false, "latency quantile: bucket counts disagree with count");
+  return 0;
+}
 
 }  // namespace
-
-std::size_t LatencyRecorder::bucketCount() {
-  return static_cast<std::size_t>(kSub + kOctaves * kHalfSub);
-}
 
 std::size_t LatencyRecorder::bucketFor(std::uint64_t ticks) {
   if (ticks < kSub) return static_cast<std::size_t>(ticks);
@@ -48,7 +68,8 @@ std::uint64_t LatencyRecorder::bucketHighTicks(std::size_t bucket) {
   return (sub + 1) << o;
 }
 
-LatencyRecorder::LatencyRecorder() : buckets_(bucketCount(), 0) {}
+LatencyRecorder::LatencyRecorder()
+    : owned_(bucketCount(), 0), buckets_(owned_.data()) {}
 
 void LatencyRecorder::recordTicks(std::uint64_t ticks) {
   ++buckets_[bucketFor(ticks)];
@@ -59,7 +80,8 @@ void LatencyRecorder::recordTicks(std::uint64_t ticks) {
 }
 
 void LatencyRecorder::clear() {
-  std::fill(buckets_.begin(), buckets_.end(), 0u);
+  const auto [first, end] = bucketRange(count_, minTicks_, maxTicks_);
+  std::fill(buckets_ + first, buckets_ + end, 0u);
   count_ = sumTicks_ = minTicks_ = maxTicks_ = 0;
 }
 
@@ -72,28 +94,7 @@ std::uint64_t LatencyRecorder::toTicks(double seconds) {
   return static_cast<std::uint64_t>(std::llround(t));
 }
 
-double latencyQuantileTicks(const std::vector<std::uint64_t>& buckets,
-                            std::uint64_t count, double q) {
-  if (count == 0) return 0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the sample we want, 1-based: ceil(q * count), at least 1.
-  const double exact = q * static_cast<double>(count);
-  std::uint64_t rank = static_cast<std::uint64_t>(std::ceil(exact));
-  rank = std::clamp<std::uint64_t>(rank, 1, count);
-  std::uint64_t cum = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    cum += buckets[b];
-    if (cum >= rank) {
-      const std::uint64_t lo = LatencyRecorder::bucketLowTicks(b);
-      const std::uint64_t hi = LatencyRecorder::bucketHighTicks(b);
-      return LatencyRecorder::ticksToSeconds(lo + (hi - lo) / 2);
-    }
-  }
-  COMB_ASSERT(false, "latency quantile: bucket counts disagree with count");
-  return 0;
-}
-
-TailSummary latencyTail(const std::vector<std::uint64_t>& buckets,
+TailSummary latencyTail(std::span<const std::uint64_t> buckets,
                         std::uint64_t count, std::uint64_t sumTicks,
                         std::uint64_t minTicks, std::uint64_t maxTicks) {
   TailSummary t;
@@ -103,15 +104,15 @@ TailSummary latencyTail(const std::vector<std::uint64_t>& buckets,
            static_cast<double>(count);
   t.min = LatencyRecorder::ticksToSeconds(minTicks);
   t.max = LatencyRecorder::ticksToSeconds(maxTicks);
-  t.p50 = latencyQuantileTicks(buckets, count, 0.50);
-  t.p90 = latencyQuantileTicks(buckets, count, 0.90);
-  t.p99 = latencyQuantileTicks(buckets, count, 0.99);
-  t.p999 = latencyQuantileTicks(buckets, count, 0.999);
+  t.p50 = quantileTicks(buckets, count, minTicks, maxTicks, 0.50);
+  t.p90 = quantileTicks(buckets, count, minTicks, maxTicks, 0.90);
+  t.p99 = quantileTicks(buckets, count, minTicks, maxTicks, 0.99);
+  t.p999 = quantileTicks(buckets, count, minTicks, maxTicks, 0.999);
   return t;
 }
 
 double LatencyRecorder::quantile(double q) const {
-  return latencyQuantileTicks(buckets_, count_, q);
+  return quantileTicks(buckets(), count_, minTicks(), maxTicks_, q);
 }
 
 double LatencyRecorder::meanSeconds() const {
@@ -121,7 +122,7 @@ double LatencyRecorder::meanSeconds() const {
 }
 
 TailSummary LatencyRecorder::tail() const {
-  return latencyTail(buckets_, count_, sumTicks_, minTicks(), maxTicks_);
+  return latencyTail(buckets(), count_, sumTicks_, minTicks(), maxTicks_);
 }
 
 }  // namespace comb

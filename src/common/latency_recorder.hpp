@@ -14,13 +14,22 @@
 // floating-point accumulation (the sum is kept in exact ticks), safe for
 // per-message use inside the allocation-free steady state enforced by
 // test_executor_alloc / test_latency_recorder.
+//
+// Every sample lies in the bucket range [bucketFor(min), bucketFor(max)],
+// so reductions (quantiles, snapshots, merges) scan only that range: a
+// recorder costs what it has recorded, not the ~2k-bucket layout.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace comb {
+
+namespace metrics {
+class Registry;
+}  // namespace metrics
 
 /// Percentile summary of one recorder, in seconds. `count == 0` means no
 /// samples were recorded and every field is zero.
@@ -45,15 +54,34 @@ class LatencyRecorder {
   static constexpr unsigned kSubBits = 6;
   static constexpr std::uint64_t kSub = 1ull << kSubBits;
 
-  /// Total bucket count of the global layout.
-  static std::size_t bucketCount();
+  /// Total bucket count of the global layout: kSub one-tick buckets, then
+  /// kSub/2 per octave for the remaining 64 - kSubBits octaves.
+  static constexpr std::size_t bucketCount() {
+    return static_cast<std::size_t>(kSub + (64 - kSubBits) * (kSub / 2));
+  }
   /// Bucket index for a tick value (pure function of the global layout).
   static std::size_t bucketFor(std::uint64_t ticks);
   /// Inclusive lower / exclusive upper tick bound of a bucket.
   static std::uint64_t bucketLowTicks(std::size_t bucket);
   static std::uint64_t bucketHighTicks(std::size_t bucket);
 
+  /// Half-open bucket range [first, end) holding every sample of a
+  /// distribution with these aggregates; empty when `count == 0`.
+  struct BucketRange {
+    std::size_t first = 0;
+    std::size_t end = 0;
+  };
+  static BucketRange bucketRange(std::uint64_t count, std::uint64_t minTicks,
+                                 std::uint64_t maxTicks) {
+    if (count == 0) return {};
+    return {bucketFor(minTicks), bucketFor(maxTicks) + 1};
+  }
+
+  /// A standalone recorder owning its own zeroed bucket array. Recorders
+  /// created by metrics::Registry use registry-owned storage instead.
   LatencyRecorder();
+  LatencyRecorder(const LatencyRecorder&) = delete;
+  LatencyRecorder& operator=(const LatencyRecorder&) = delete;
 
   /// Record one latency in seconds. Negative values clamp to zero.
   void record(double seconds) { recordTicks(toTicks(seconds)); }
@@ -66,7 +94,10 @@ class LatencyRecorder {
   std::uint64_t sumTicks() const { return sumTicks_; }
   std::uint64_t minTicks() const { return count_ ? minTicks_ : 0; }
   std::uint64_t maxTicks() const { return maxTicks_; }
-  const std::vector<std::uint64_t>& buckets() const { return buckets_; }
+  /// Dense view over the whole global layout.
+  std::span<const std::uint64_t> buckets() const {
+    return {buckets_, bucketCount()};
+  }
 
   /// Quantile in seconds, estimated from the bucket containing the
   /// ceil(q * count)-th sample (bucket midpoint, exact for one-tick
@@ -82,21 +113,24 @@ class LatencyRecorder {
   }
 
  private:
-  std::vector<std::uint64_t> buckets_;
+  friend class metrics::Registry;
+  /// Records into `storage`: bucketCount() zeroed counters that outlive
+  /// the recorder.
+  explicit LatencyRecorder(std::uint64_t* storage) : buckets_(storage) {}
+
+  std::vector<std::uint64_t> owned_;  ///< standalone storage only
+  std::uint64_t* buckets_;
   std::uint64_t count_ = 0;
   std::uint64_t sumTicks_ = 0;
   std::uint64_t minTicks_ = 0;
   std::uint64_t maxTicks_ = 0;
 };
 
-/// Quantile over a raw bucket-count vector in the global layout (used by
-/// snapshot merging, where only the counts survive). `count` is the total
-/// number of samples in `buckets`.
-double latencyQuantileTicks(const std::vector<std::uint64_t>& buckets,
-                            std::uint64_t count, double q);
-
-/// Summary over raw merged state (counts + exact tick aggregates).
-TailSummary latencyTail(const std::vector<std::uint64_t>& buckets,
+/// Summary over raw merged state (counts in the global layout + exact
+/// tick aggregates), as snapshot merging produces it. Only the buckets in
+/// [bucketFor(minTicks), bucketFor(maxTicks)] are read, so they must hold
+/// all `count` samples.
+TailSummary latencyTail(std::span<const std::uint64_t> buckets,
                         std::uint64_t count, std::uint64_t sumTicks,
                         std::uint64_t minTicks, std::uint64_t maxTicks);
 

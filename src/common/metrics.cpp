@@ -1,11 +1,104 @@
 #include "common/metrics.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <array>
 #include <cstdio>
+#include <mutex>
+#include <new>
 
 #include "common/error.hpp"
 
 namespace comb::metrics {
+
+namespace detail {
+
+namespace {
+
+constexpr std::size_t kArraysPerBlock = 64;
+// 64 arrays of 1,920 counters: 240 whole 4 KiB pages.
+constexpr std::size_t kBlockBytes =
+    kArraysPerBlock * LatencyRecorder::bucketCount() * sizeof(std::uint64_t);
+
+// A few all-zero blocks released by destroyed pools, kept for the next
+// pools: a short-lived registry (one 2-node point) then neither maps nor
+// faults in fresh pages, also when a few sweep workers run points side by
+// side. A kept block stays resident wherever it was touched, so this
+// holds at most kSpareBlocks * kBlockBytes (3.75 MiB).
+constexpr std::size_t kSpareBlocks = 4;
+struct SpareBlocks {
+  std::mutex mu;
+  std::array<void*, kSpareBlocks> blocks{};
+  std::size_t count = 0;  // guarded by mu
+};
+
+SpareBlocks& spares() {
+  static auto* s = new SpareBlocks;  // never destroyed: outlives registries
+  return *s;
+}
+
+void* takeZeroedBlock() {
+  {
+    SpareBlocks& s = spares();
+    const std::lock_guard lock(s.mu);
+    if (s.count > 0) return s.blocks[--s.count];
+  }
+  void* p = mmap(nullptr, kBlockBytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void BucketPool::Release::operator()(void* block) const {
+  {
+    SpareBlocks& s = spares();
+    const std::lock_guard lock(s.mu);
+    if (s.count < kSpareBlocks) {
+      s.blocks[s.count++] = block;
+      return;
+    }
+  }
+  munmap(block, kBlockBytes);
+}
+
+std::uint64_t* BucketPool::take() {
+  if (blocks_.empty() || usedInLast_ == kArraysPerBlock) {
+    std::unique_ptr<void, Release> block(takeZeroedBlock());
+    blocks_.push_back(std::move(block));
+    usedInLast_ = 0;
+  }
+  return static_cast<std::uint64_t*>(blocks_.back().get()) +
+         usedInLast_++ * LatencyRecorder::bucketCount();
+}
+
+}  // namespace detail
+
+namespace {
+
+/// Add `l` into `acc` (same global layout), reading only l's sample range.
+void accumulate(LatencySample& acc, const LatencySample& l) {
+  COMB_REQUIRE(acc.buckets.size() == l.buckets.size(),
+               "merging latency samples with mismatched layouts");
+  const auto [first, end] =
+      LatencyRecorder::bucketRange(l.count, l.minTicks, l.maxTicks);
+  for (std::size_t b = first; b < end; ++b) acc.buckets[b] += l.buckets[b];
+  if (l.count) {
+    acc.minTicks = acc.count ? std::min(acc.minTicks, l.minTicks) : l.minTicks;
+    acc.maxTicks = std::max(acc.maxTicks, l.maxTicks);
+  }
+  acc.count += l.count;
+  acc.sumTicks += l.sumTicks;
+}
+
+}  // namespace
+
+Registry::~Registry() {
+  // The bucket pool recycles its blocks, which must be all-zero again.
+  for (auto& [name, r] : latencies_) r->clear();
+}
 
 Counter& Registry::counter(std::string_view name, MergeKind merge) {
   COMB_REQUIRE(!name.empty(), "metric name must not be empty");
@@ -32,7 +125,8 @@ LatencyRecorder& Registry::latency(std::string_view name) {
   COMB_REQUIRE(!name.empty(), "metric name must not be empty");
   if (const auto it = latencies_.find(name); it != latencies_.end())
     return *it->second;
-  auto r = std::make_unique<LatencyRecorder>();
+  std::unique_ptr<LatencyRecorder> r(
+      new LatencyRecorder(latencyBuckets_.take()));
   return *latencies_.emplace(std::string(name), std::move(r)).first->second;
 }
 
@@ -58,11 +152,15 @@ Snapshot Registry::snapshot() const {
   for (const auto& [name, r] : latencies_) {
     LatencySample s;
     s.name = name;
-    s.buckets = r->buckets();
     s.count = r->count();
     s.sumTicks = r->sumTicks();
     s.minTicks = r->minTicks();
     s.maxTicks = r->maxTicks();
+    s.buckets.resize(LatencyRecorder::bucketCount());
+    const auto [first, end] =
+        LatencyRecorder::bucketRange(s.count, s.minTicks, s.maxTicks);
+    const auto used = r->buckets().subspan(first, end - first);
+    std::copy(used.begin(), used.end(), s.buckets.begin() + first);
     snap.latencies.push_back(std::move(s));
   }
   return snap;
@@ -93,41 +191,26 @@ LatencySample mergeLatencyFamily(const Snapshot& snap,
     if (name.size() < prefix.size() + suffix.size()) continue;
     if (name.substr(0, prefix.size()) != prefix) continue;
     if (name.substr(name.size() - suffix.size()) != suffix) continue;
-    if (out.buckets.empty()) {
-      out.buckets = l.buckets;
-      out.count = l.count;
-      out.sumTicks = l.sumTicks;
-      out.minTicks = l.minTicks;
-      out.maxTicks = l.maxTicks;
-      continue;
-    }
-    COMB_REQUIRE(out.buckets.size() == l.buckets.size(),
-                 "merging latency samples with mismatched layouts");
-    for (std::size_t i = 0; i < l.buckets.size(); ++i)
-      out.buckets[i] += l.buckets[i];
-    if (l.count) {
-      out.minTicks =
-          out.count ? std::min(out.minTicks, l.minTicks) : l.minTicks;
-      out.maxTicks = std::max(out.maxTicks, l.maxTicks);
-    }
-    out.count += l.count;
-    out.sumTicks += l.sumTicks;
+    if (out.buckets.empty()) out.buckets.resize(l.buckets.size());
+    accumulate(out, l);
   }
   return out;
 }
 
-Snapshot mergeSnapshots(const std::vector<Snapshot>& parts) {
-  if (parts.size() == 1) return parts.front();
+Snapshot mergeSnapshots(std::vector<Snapshot> parts) {
+  if (parts.size() == 1) return std::move(parts.front());
   Snapshot out;
   // Inputs are name-sorted; a k-way merge would be fancier, but snapshot
   // merging runs once per simulation, not per event. Maps keep the
-  // result sorted and the lookups simple.
+  // result sorted and the lookups simple. try_emplace moves an instrument
+  // in only when its name is new, and otherwise leaves it intact to be
+  // folded in (emplace may move from it before finding the name taken).
   std::map<std::string, CounterSample, std::less<>> counters;
   std::map<std::string, HistogramSample, std::less<>> histograms;
   std::map<std::string, LatencySample, std::less<>> latencies;
-  for (const Snapshot& part : parts) {
-    for (const CounterSample& c : part.counters) {
-      auto [it, fresh] = counters.emplace(c.name, c);
+  for (Snapshot& part : parts) {
+    for (CounterSample& c : part.counters) {
+      auto [it, fresh] = counters.try_emplace(c.name, std::move(c));
       if (fresh) continue;
       COMB_REQUIRE(it->second.merge == c.merge,
                    "merging counters with mismatched merge kinds");
@@ -136,8 +219,8 @@ Snapshot mergeSnapshots(const std::vector<Snapshot>& parts) {
       else
         it->second.value += c.value;
     }
-    for (const HistogramSample& h : part.histograms) {
-      auto [it, fresh] = histograms.emplace(h.name, h);
+    for (HistogramSample& h : part.histograms) {
+      auto [it, fresh] = histograms.try_emplace(h.name, std::move(h));
       if (fresh) continue;
       HistogramSample& acc = it->second;
       acc.underflow += h.underflow;
@@ -171,21 +254,9 @@ Snapshot mergeSnapshots(const std::vector<Snapshot>& parts) {
         }
       }
     }
-    for (const LatencySample& l : part.latencies) {
-      auto [it, fresh] = latencies.emplace(l.name, l);
-      if (fresh) continue;
-      LatencySample& acc = it->second;
-      COMB_REQUIRE(acc.buckets.size() == l.buckets.size(),
-                   "merging latency samples with mismatched layouts");
-      for (std::size_t i = 0; i < l.buckets.size(); ++i)
-        acc.buckets[i] += l.buckets[i];
-      if (l.count) {
-        acc.minTicks =
-            acc.count ? std::min(acc.minTicks, l.minTicks) : l.minTicks;
-        acc.maxTicks = std::max(acc.maxTicks, l.maxTicks);
-      }
-      acc.count += l.count;
-      acc.sumTicks += l.sumTicks;
+    for (LatencySample& l : part.latencies) {
+      auto [it, fresh] = latencies.try_emplace(l.name, std::move(l));
+      if (!fresh) accumulate(it->second, l);
     }
   }
   out.counters.reserve(counters.size());

@@ -12,6 +12,12 @@
 //
 // Names are dot-separated paths ("layer.component.instance.metric"); the
 // snapshot sorts them, so related instruments group naturally.
+//
+// Latency recorders cost what they record. Their bucket arrays come from
+// already-zero page blocks (fresh anonymous pages, or blocks a destroyed
+// registry zeroed and left behind), so registering one writes nothing and
+// only the pages its samples reach become resident; snapshots, merges and
+// tail reductions touch only each sample's [min, max] bucket range.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +78,9 @@ struct HistogramSample {
 
 /// A latency recorder's state at snapshot time. Buckets follow the global
 /// LatencyRecorder layout, so same-named samples merge by element-wise
-/// count addition — order- and shard-count-independent.
+/// count addition — order- and shard-count-independent. `buckets` is
+/// always dense and full-length; every sample lies in
+/// LatencyRecorder::bucketRange(count, minTicks, maxTicks).
 struct LatencySample {
   std::string name;
   std::vector<std::uint64_t> buckets;
@@ -111,9 +119,33 @@ LatencySample mergeLatencyFamily(const Snapshot& snap,
                                  std::string_view prefix,
                                  std::string_view suffix);
 
+namespace detail {
+
+/// Zeroed bucket arrays for registry-created latency recorders, carved
+/// from anonymous page blocks that the OS zeroes on first touch. Handing
+/// out an array writes nothing, and buckets that are never written never
+/// become resident. Arrays live as long as the pool, and must be all-zero
+/// again when it is destroyed: a few released blocks are kept process-wide
+/// and handed to the next pool as they are.
+class BucketPool {
+ public:
+  /// LatencyRecorder::bucketCount() zeroed counters.
+  std::uint64_t* take();
+
+ private:
+  struct Release {
+    void operator()(void* block) const;
+  };
+  std::vector<std::unique_ptr<void, Release>> blocks_;
+  std::size_t usedInLast_ = 0;  ///< arrays handed out from blocks_.back()
+};
+
+}  // namespace detail
+
 class Registry {
  public:
   Registry() = default;
+  ~Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -126,18 +158,21 @@ class Registry {
                        std::size_t bins);
   /// Find-or-create. All recorders share the global log-bucket layout,
   /// so there is nothing to configure; recording is allocation-free.
+  /// Creating one touches none of its bucket storage.
   LatencyRecorder& latency(std::string_view name);
 
   std::size_t counterCount() const { return counters_.size(); }
   std::size_t histogramCount() const { return histograms_.size(); }
   std::size_t latencyCount() const { return latencies_.size(); }
 
+  /// Latency buckets are copied only over each recorder's sample range.
   Snapshot snapshot() const;
 
  private:
   // std::map: stable references, deterministic (sorted) iteration.
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  detail::BucketPool latencyBuckets_;  // outlives the recorders using it
   std::map<std::string, std::unique_ptr<LatencyRecorder>, std::less<>>
       latencies_;
 };
@@ -152,8 +187,9 @@ class Registry {
 /// Latency samples share one global layout and always add element-wise.
 /// Inputs are name-sorted (as Registry::snapshot produces) and so is the
 /// result — a single input round-trips unchanged, which keeps the serial
-/// path byte-identical.
-Snapshot mergeSnapshots(const std::vector<Snapshot>& parts);
+/// path byte-identical. The parts are consumed: each instrument is moved
+/// out of the first part that names it, so pass them with std::move.
+Snapshot mergeSnapshots(std::vector<Snapshot> parts);
 
 /// Serialize a snapshot as a JSON object:
 ///   {"counters": {"name": value, ...},
@@ -164,7 +200,8 @@ Snapshot mergeSnapshots(const std::vector<Snapshot>& parts);
 ///                           "p99_us": ..., "p999_us": ...,
 ///                           "buckets": [[bucket, count], ...]}, ...}}
 /// Latency buckets are sparse [index, count] pairs over the global
-/// LatencyRecorder layout (dense arrays would be ~2k mostly-zero cells).
+/// LatencyRecorder layout: a recorder fills a handful of its 1,920
+/// buckets, so a dense array would be almost all zeros.
 void writeJson(std::ostream& out, const Snapshot& snap, int indent = 0);
 
 }  // namespace comb::metrics

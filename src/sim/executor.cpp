@@ -202,7 +202,7 @@ metrics::Snapshot Executor::metricsSnapshot() const {
   std::vector<metrics::Snapshot> parts;
   parts.reserve(shards_.size());
   for (const auto& s : shards_) parts.push_back(s->metrics().snapshot());
-  return metrics::mergeSnapshots(parts);
+  return metrics::mergeSnapshots(std::move(parts));
 }
 
 void Executor::setLookaheadMatrix(std::vector<Time> direct) {

@@ -2,6 +2,8 @@
 // paper's qualitative properties, over both machines (TEST_P).
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "backend/machine.hpp"
 #include "comb/presets.hpp"
 #include "comb/runner.hpp"
@@ -137,11 +139,16 @@ TEST(PollingCompare, PortalsBurnsCpuWhileGmDoesNot) {
 
 // Property sweep: availability in [0,1] and bandwidth below wire for every
 // machine x size x interval combination.
+// gtest prints the parameter's raw bytes into the test name, so the struct
+// must have no implicit padding: `pad` fills the gap after `kind` with
+// zeros and keeps the names the same from run to run.
 struct SweepCase {
   TransportKind kind;
+  std::uint32_t pad = 0;
   Bytes size;
   std::uint64_t interval;
 };
+static_assert(std::has_unique_object_representations_v<SweepCase>);
 
 class PollingSweepProperty : public ::testing::TestWithParam<SweepCase> {};
 
@@ -162,7 +169,7 @@ std::vector<SweepCase> sweepCases() {
   for (const auto kind : {TransportKind::Gm, TransportKind::Portals})
     for (const Bytes size : {10_KB, 100_KB, 300_KB})
       for (const std::uint64_t interval : {100ull, 10'000ull, 1'000'000ull})
-        cases.push_back({kind, size, interval});
+        cases.push_back({.kind = kind, .size = size, .interval = interval});
   return cases;
 }
 

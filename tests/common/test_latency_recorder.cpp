@@ -159,17 +159,24 @@ TEST(LatencyRecorder, MergeWithEmptySideKeepsExtrema) {
 }
 
 TEST(LatencyRecorder, SteadyStateRecordingIsAllocationFree) {
-  LatencyRecorder r;           // construction may allocate (bucket array)
-  r.recordTicks(1);            // warm-up
-  const std::size_t before = g_allocCount.load(std::memory_order_relaxed);
-  std::mt19937_64 rng(5);
-  for (int i = 0; i < 100000; ++i) {
-    r.recordTicks(rng() % 1000000000ull);
-    r.record(1.5e-6);
+  // Construction may allocate: a standalone recorder owns its bucket
+  // array, and registration maps storage and inserts the name.
+  LatencyRecorder standalone;
+  metrics::Registry reg;
+  LatencyRecorder& registered = reg.latency("lat");
+  for (LatencyRecorder* r : {&standalone, &registered}) {
+    r->recordTicks(1);  // warm-up
+    const std::size_t before = g_allocCount.load(std::memory_order_relaxed);
+    std::mt19937_64 rng(5);
+    for (int i = 0; i < 100000; ++i) {
+      r->recordTicks(rng() % 1000000000ull);
+      r->record(1.5e-6);
+    }
+    (void)r->quantile(0.999);  // summaries must not allocate either
+    (void)r->tail();
+    const std::size_t after = g_allocCount.load(std::memory_order_relaxed);
+    EXPECT_EQ(after, before) << "latency recording allocated in steady state";
   }
-  (void)r.quantile(0.999);  // summaries must not allocate either
-  const std::size_t after = g_allocCount.load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before) << "latency recording allocated in steady state";
 }
 
 TEST(LatencyRecorder, RegistryFindOrCreate) {

@@ -1,10 +1,20 @@
 // metrics::Registry: find-or-create counters/histograms with stable
-// references, sorted snapshots, and the JSON export format.
+// references, sorted snapshots, consuming snapshot merges, range-bounded
+// latency reductions, and the JSON export format.
 #include "common/metrics.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -93,6 +103,242 @@ TEST(Metrics, MergeRebucketsMismatchedHistogramLayouts) {
   EXPECT_EQ(h.counts[4], 1u);
   EXPECT_EQ(h.overflow, 1u);
   EXPECT_EQ(h.total, 4u);
+}
+
+// mergeSnapshots consumes its parts: the first part to name an instrument
+// hands it over, and later parts fold into it. One name per instrument
+// kind sits in all three parts; every order must give the hand-computed
+// result (a merge that reads a moved-from sample loses its buckets).
+TEST(Metrics, ConsumingMergeMatchesHandComputedInEveryOrder) {
+  std::vector<Registry> regs(3);
+  Registry& a = regs[0];
+  Registry& b = regs[1];
+  Registry& c = regs[2];
+  a.counter("c.sum").add(3);
+  b.counter("c.sum").add(5);
+  c.counter("c.sum").add(7);
+  a.counter("c.max", MergeKind::Max).raiseTo(4);
+  b.counter("c.max", MergeKind::Max).raiseTo(9);
+  c.counter("c.max", MergeKind::Max).raiseTo(2);
+  a.histogram("h.same", 0.0, 10.0, 5).add(1.0);
+  b.histogram("h.same", 0.0, 10.0, 5).add(3.0);
+  b.histogram("h.same", 0.0, 10.0, 5).add(3.0);
+  c.histogram("h.same", 0.0, 10.0, 5).add(12.0);
+  c.histogram("h.same", 0.0, 10.0, 5).add(-1.0);
+  // a and b share a 10-bin layout over [0, 100); c has 5 bins over
+  // [0, 50). The first-seen layout wins, so the result depends on whether
+  // c comes first.
+  a.histogram("h.mixed", 0.0, 100.0, 10).add(15.0);  // bin 1
+  a.histogram("h.mixed", 0.0, 100.0, 10).add(95.0);  // bin 9
+  b.histogram("h.mixed", 0.0, 100.0, 10).add(55.0);  // bin 5
+  c.histogram("h.mixed", 0.0, 50.0, 5).add(25.0);    // bin 2
+  c.histogram("h.mixed", 0.0, 50.0, 5).add(70.0);    // overflow
+  a.latency("lat").recordTicks(5);
+  a.latency("lat").recordTicks(1000);
+  b.latency("lat");  // registered, never recorded
+  c.latency("lat").recordTicks(70);
+  c.latency("lat").recordTicks(2000000);
+
+  std::vector<std::uint64_t> latBuckets(LatencyRecorder::bucketCount(), 0);
+  for (const std::uint64_t t : {5, 70, 1000, 2000000})
+    ++latBuckets[LatencyRecorder::bucketFor(t)];
+
+  std::vector<std::size_t> order = {0, 1, 2};
+  do {
+    std::vector<Snapshot> parts;
+    for (const std::size_t i : order) parts.push_back(regs[i].snapshot());
+    const Snapshot m = mergeSnapshots(std::move(parts));
+    SCOPED_TRACE(testing::Message() << "order " << order[0] << order[1]
+                                    << order[2]);
+
+    ASSERT_EQ(m.counters.size(), 2u);
+    EXPECT_EQ(m.counters[0].name, "c.max");
+    EXPECT_EQ(m.counters[0].value, 9u);
+    EXPECT_EQ(m.counters[0].merge, MergeKind::Max);
+    EXPECT_EQ(m.counters[1].name, "c.sum");
+    EXPECT_EQ(m.counters[1].value, 15u);
+
+    ASSERT_EQ(m.histograms.size(), 2u);
+    const HistogramSample& mixed = m.histograms[0];
+    EXPECT_EQ(mixed.name, "h.mixed");
+    EXPECT_EQ(mixed.total, 5u);
+    EXPECT_EQ(mixed.underflow, 0u);
+    if (order[0] == 2) {  // c's [0, 50) layout; a's 95 and b's 55 overflow
+      EXPECT_DOUBLE_EQ(mixed.hi, 50.0);
+      EXPECT_EQ(mixed.counts, (std::vector<std::size_t>{0, 1, 1, 0, 0}));
+      EXPECT_EQ(mixed.overflow, 3u);
+    } else {  // a's/b's [0, 100) layout; c's overflow is carried over
+      EXPECT_DOUBLE_EQ(mixed.hi, 100.0);
+      EXPECT_EQ(mixed.counts,
+                (std::vector<std::size_t>{0, 1, 1, 0, 0, 1, 0, 0, 0, 1}));
+      EXPECT_EQ(mixed.overflow, 1u);
+    }
+    const HistogramSample& same = m.histograms[1];
+    EXPECT_EQ(same.name, "h.same");
+    EXPECT_EQ(same.counts, (std::vector<std::size_t>{1, 2, 0, 0, 0}));
+    EXPECT_EQ(same.underflow, 1u);
+    EXPECT_EQ(same.overflow, 1u);
+    EXPECT_EQ(same.total, 5u);
+
+    ASSERT_EQ(m.latencies.size(), 1u);
+    const LatencySample& lat = m.latencies[0];
+    EXPECT_EQ(lat.name, "lat");
+    EXPECT_EQ(lat.buckets, latBuckets);
+    EXPECT_EQ(lat.count, 4u);
+    EXPECT_EQ(lat.sumTicks, 2001075u);
+    EXPECT_EQ(lat.minTicks, 5u);
+    EXPECT_EQ(lat.maxTicks, 2000000u);
+  } while (std::next_permutation(order.begin(), order.end()));
+}
+
+// A destroyed registry hands its bucket storage on to the next one; the
+// next registry's recorders must still start out empty.
+TEST(Metrics, RecycledLatencyStorageStartsZeroed) {
+  for (int round = 0; round < 3; ++round) {
+    Registry reg;
+    for (int i = 0; i < 200; ++i) {
+      LatencyRecorder& r = reg.latency("lat." + std::to_string(i));
+      const auto dense = r.buckets();
+      ASSERT_TRUE(std::all_of(dense.begin(), dense.end(),
+                              [](std::uint64_t c) { return c == 0; }))
+          << "round " << round << " recorder " << i;
+      r.recordTicks(static_cast<std::uint64_t>(i));
+      r.recordTicks(1000000ull * static_cast<std::uint64_t>(i + 1));
+    }
+  }
+}
+
+// Sweep workers build and destroy registries concurrently, passing spare
+// bucket storage between threads.
+TEST(Metrics, RegistriesOnSeveralThreadsStartZeroed) {
+  std::atomic<int> dirty{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 4; ++w)
+    workers.emplace_back([&dirty, w] {
+      for (int round = 0; round < 20; ++round) {
+        Registry reg;
+        for (int i = 0; i < 100; ++i) {
+          LatencyRecorder& r = reg.latency("lat." + std::to_string(i));
+          const auto dense = r.buckets();
+          if (!std::all_of(dense.begin(), dense.end(),
+                           [](std::uint64_t c) { return c == 0; }))
+            dirty.fetch_add(1);
+          r.recordTicks(static_cast<std::uint64_t>(1000 * (w + 1) + i));
+        }
+      }
+    });
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(dirty.load(), 0);
+}
+
+// Snapshots copy only [bucketFor(min), bucketFor(max)]; the extreme ends
+// of the layout must still come out as the recorder's full dense view.
+TEST(Metrics, LatencySnapshotCopiesEdgeRangesExactly) {
+  const std::uint64_t clamped = LatencyRecorder::toTicks(1e30);
+  ASSERT_EQ(clamped, 9000000000000000000ull);
+  const std::uint64_t top = std::numeric_limits<std::uint64_t>::max();
+  ASSERT_EQ(LatencyRecorder::bucketFor(top),
+            LatencyRecorder::bucketCount() - 1);
+  const std::vector<std::vector<std::uint64_t>> cases = {
+      {}, {0, 0}, {clamped}, {0, clamped, clamped}, {top}};
+  for (const auto& ticks : cases) {
+    Registry reg;
+    LatencyRecorder& r = reg.latency("lat");
+    for (const std::uint64_t t : ticks) r.recordTicks(t);
+    const Snapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.latencies.size(), 1u);
+    const LatencySample& s = snap.latencies[0];
+    ASSERT_EQ(s.buckets.size(), LatencyRecorder::bucketCount());
+    const auto dense = r.buckets();
+    EXPECT_TRUE(std::equal(dense.begin(), dense.end(), s.buckets.begin()))
+        << ticks.size() << " samples";
+    EXPECT_EQ(s.count, ticks.size());
+    EXPECT_EQ(s.minTicks, r.minTicks());
+    EXPECT_EQ(s.maxTicks, r.maxTicks());
+    const TailSummary fromSnap = s.tail();
+    const TailSummary fromRecorder = r.tail();
+    EXPECT_EQ(fromSnap.p50, fromRecorder.p50);
+    EXPECT_EQ(fromSnap.p999, fromRecorder.p999);
+    EXPECT_EQ(fromSnap.max, fromRecorder.max);
+  }
+}
+
+// Brute-force reference: the ceil(q * count)-th sample's bucket midpoint,
+// scanning the whole layout from bucket 0.
+double bruteQuantile(const std::vector<std::uint64_t>& buckets,
+                     std::uint64_t count, double q) {
+  if (count == 0) return 0;
+  const auto rank = std::clamp<std::uint64_t>(
+      static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(count))),
+      1, count);
+  std::uint64_t cum = 0;
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    cum += buckets[b];
+    if (cum >= rank) {
+      const std::uint64_t lo = LatencyRecorder::bucketLowTicks(b);
+      const std::uint64_t hi = LatencyRecorder::bucketHighTicks(b);
+      return LatencyRecorder::ticksToSeconds(lo + (hi - lo) / 2);
+    }
+  }
+  ADD_FAILURE() << "bucket counts disagree with count";
+  return 0;
+}
+
+// Fills `r` with a random sample set spanning the whole dynamic range,
+// empty about one time in four; returns the raw ticks.
+std::vector<std::uint64_t> fillRandom(LatencyRecorder& r,
+                                      std::mt19937_64& rng) {
+  std::vector<std::uint64_t> ticks;
+  const std::size_t n = rng() % 4 == 0 ? 0 : 1 + rng() % 40;
+  for (std::size_t i = 0; i < n; ++i) {
+    const unsigned width = static_cast<unsigned>(rng() % 64);  // 0 => tick 0
+    const std::uint64_t t = width == 0 ? 0 : rng() >> (64 - width);
+    ticks.push_back(t);
+    r.recordTicks(t);
+  }
+  return ticks;
+}
+
+// latencyTail and mergeLatencyFamily read only each sample's own bucket
+// range; they must agree with a scan of the full layout on any input.
+TEST(Metrics, RangeBoundedLatencyReductionMatchesFullScan) {
+  std::mt19937_64 rng(0x5eed);
+  for (int trial = 0; trial < 200; ++trial) {
+    Registry reg;
+    const std::size_t members = 1 + rng() % 6;
+    std::vector<std::uint64_t> all;
+    for (std::size_t m = 0; m < members; ++m) {
+      LatencyRecorder& r = reg.latency("mpi.n" + std::to_string(m) + ".lat");
+      const auto ticks = fillRandom(r, rng);
+      all.insert(all.end(), ticks.begin(), ticks.end());
+      const std::vector<std::uint64_t> dense(r.buckets().begin(),
+                                             r.buckets().end());
+      for (const double q : {0.0, 0.5, 0.9, 0.99, 0.999, 1.0})
+        ASSERT_EQ(r.quantile(q), bruteQuantile(dense, r.count(), q))
+            << "trial " << trial << " q=" << q;
+    }
+    const Snapshot snap = reg.snapshot();
+    const LatencySample merged = mergeLatencyFamily(snap, "mpi.n", ".lat");
+
+    std::vector<std::uint64_t> expect(LatencyRecorder::bucketCount(), 0);
+    for (const std::uint64_t t : all) ++expect[LatencyRecorder::bucketFor(t)];
+    ASSERT_EQ(merged.buckets, expect) << "trial " << trial;
+    ASSERT_EQ(merged.count, all.size());
+    const TailSummary t = merged.tail();
+    EXPECT_EQ(t.count, all.size());
+    if (all.empty()) {
+      EXPECT_EQ(t.p50, 0.0);
+      EXPECT_EQ(t.max, 0.0);
+      continue;
+    }
+    const auto [lo, hi] = std::minmax_element(all.begin(), all.end());
+    EXPECT_EQ(t.min, LatencyRecorder::ticksToSeconds(*lo));
+    EXPECT_EQ(t.max, LatencyRecorder::ticksToSeconds(*hi));
+    EXPECT_EQ(t.p50, bruteQuantile(expect, all.size(), 0.50));
+    EXPECT_EQ(t.p90, bruteQuantile(expect, all.size(), 0.90));
+    EXPECT_EQ(t.p99, bruteQuantile(expect, all.size(), 0.99));
+    EXPECT_EQ(t.p999, bruteQuantile(expect, all.size(), 0.999));
+  }
 }
 
 TEST(Metrics, WriteJsonFormat) {
