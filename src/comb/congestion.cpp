@@ -55,12 +55,25 @@ std::vector<int> congestionDests(const CongestionParams& p, int rank) {
 }
 
 std::uint64_t congestionExpectedRecvs(const CongestionParams& p, int rank) {
-  const int n = static_cast<int>(p.nodes);
-  std::uint64_t total = 0;
-  for (int s = 0; s < n; ++s)
-    for (const int d : congestionDests(p, s))
-      if (d == rank) ++total;
-  return total;
+  // Column sums of congestionDests' matrix in closed form: building every
+  // sender's list would cost each of n ranks n vectors.
+  const std::uint64_t n = p.nodes;
+  const auto m = static_cast<std::uint64_t>(p.messagesPerSender);
+  switch (p.pattern) {
+    case CongestionPattern::Incast:
+      return rank == 0 ? (n - 1) * m : 0;
+    case CongestionPattern::Hotspot:
+      // Each sender's even slots hit rank 0 and its odd slots its ring
+      // neighbour: rank r >= 2 is the neighbour of r - 1 and rank 1 that
+      // of n - 1. With 2 nodes the pattern is incast.
+      if (n == 2) return rank == 0 ? m : 0;
+      return rank == 0 ? (n - 1) * ((m + 1) / 2) : m / 2;
+    case CongestionPattern::AllToAll:
+      // Slot k maps every rank s to s + 1 + k % (n - 1) (mod n), a
+      // permutation: each rank receives one message per slot.
+      return m;
+  }
+  return 0;
 }
 
 namespace {

@@ -13,12 +13,14 @@ namespace {
 
 constexpr std::uint64_t kHalfSub = LatencyRecorder::kSub / 2;
 
-/// Quantile over bucket counts whose `count` samples all lie in
-/// [minTicks, maxTicks]: the ceil(q * count)-th sample's bucket midpoint,
-/// found by scanning only the buckets that range can occupy.
+/// Quantile over bucket counts (`buckets[i]` counts global bucket
+/// `first + i`) whose `count` samples all lie in [minTicks, maxTicks]: the
+/// ceil(q * count)-th sample's bucket midpoint, found by scanning only the
+/// buckets that range can occupy.
 double quantileTicks(std::span<const std::uint64_t> buckets,
-                     std::uint64_t count, std::uint64_t minTicks,
-                     std::uint64_t maxTicks, double q) {
+                     std::size_t first, std::uint64_t count,
+                     std::uint64_t minTicks, std::uint64_t maxTicks,
+                     double q) {
   if (count == 0) return 0;
   q = std::clamp(q, 0.0, 1.0);
   // Rank of the sample we want, 1-based: ceil(q * count), at least 1.
@@ -26,10 +28,11 @@ double quantileTicks(std::span<const std::uint64_t> buckets,
   std::uint64_t rank = static_cast<std::uint64_t>(std::ceil(exact));
   rank = std::clamp<std::uint64_t>(rank, 1, count);
   std::uint64_t cum = 0;
-  const auto [first, end] =
-      LatencyRecorder::bucketRange(count, minTicks, maxTicks);
-  for (std::size_t b = first; b < end; ++b) {
-    cum += buckets[b];
+  const auto range = LatencyRecorder::bucketRange(count, minTicks, maxTicks);
+  COMB_ASSERT(first <= range.first && range.end - first <= buckets.size(),
+              "latency quantile: buckets do not cover the sample range");
+  for (std::size_t b = range.first; b < range.end; ++b) {
+    cum += buckets[b - first];
     if (cum >= rank) {
       const std::uint64_t lo = LatencyRecorder::bucketLowTicks(b);
       const std::uint64_t hi = LatencyRecorder::bucketHighTicks(b);
@@ -95,8 +98,9 @@ std::uint64_t LatencyRecorder::toTicks(double seconds) {
 }
 
 TailSummary latencyTail(std::span<const std::uint64_t> buckets,
-                        std::uint64_t count, std::uint64_t sumTicks,
-                        std::uint64_t minTicks, std::uint64_t maxTicks) {
+                        std::size_t first, std::uint64_t count,
+                        std::uint64_t sumTicks, std::uint64_t minTicks,
+                        std::uint64_t maxTicks) {
   TailSummary t;
   t.count = count;
   if (count == 0) return t;
@@ -104,15 +108,15 @@ TailSummary latencyTail(std::span<const std::uint64_t> buckets,
            static_cast<double>(count);
   t.min = LatencyRecorder::ticksToSeconds(minTicks);
   t.max = LatencyRecorder::ticksToSeconds(maxTicks);
-  t.p50 = quantileTicks(buckets, count, minTicks, maxTicks, 0.50);
-  t.p90 = quantileTicks(buckets, count, minTicks, maxTicks, 0.90);
-  t.p99 = quantileTicks(buckets, count, minTicks, maxTicks, 0.99);
-  t.p999 = quantileTicks(buckets, count, minTicks, maxTicks, 0.999);
+  t.p50 = quantileTicks(buckets, first, count, minTicks, maxTicks, 0.50);
+  t.p90 = quantileTicks(buckets, first, count, minTicks, maxTicks, 0.90);
+  t.p99 = quantileTicks(buckets, first, count, minTicks, maxTicks, 0.99);
+  t.p999 = quantileTicks(buckets, first, count, minTicks, maxTicks, 0.999);
   return t;
 }
 
 double LatencyRecorder::quantile(double q) const {
-  return quantileTicks(buckets(), count_, minTicks(), maxTicks_, q);
+  return quantileTicks(buckets(), 0, count_, minTicks(), maxTicks_, q);
 }
 
 double LatencyRecorder::meanSeconds() const {
@@ -122,7 +126,7 @@ double LatencyRecorder::meanSeconds() const {
 }
 
 TailSummary LatencyRecorder::tail() const {
-  return latencyTail(buckets(), count_, sumTicks_, minTicks(), maxTicks_);
+  return latencyTail(buckets(), 0, count_, sumTicks_, minTicks(), maxTicks_);
 }
 
 }  // namespace comb

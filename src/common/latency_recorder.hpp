@@ -127,11 +127,13 @@ class LatencyRecorder {
 };
 
 /// Summary over raw merged state (counts in the global layout + exact
-/// tick aggregates), as snapshot merging produces it. Only the buckets in
-/// [bucketFor(minTicks), bucketFor(maxTicks)] are read, so they must hold
-/// all `count` samples.
+/// tick aggregates), as snapshot merging produces it. `buckets[i]` counts
+/// global bucket `first + i`. Only the buckets in [bucketFor(minTicks),
+/// bucketFor(maxTicks)] are read, so `buckets` must cover that range and
+/// it must hold all `count` samples.
 TailSummary latencyTail(std::span<const std::uint64_t> buckets,
-                        std::uint64_t count, std::uint64_t sumTicks,
-                        std::uint64_t minTicks, std::uint64_t maxTicks);
+                        std::size_t first, std::uint64_t count,
+                        std::uint64_t sumTicks, std::uint64_t minTicks,
+                        std::uint64_t maxTicks);
 
 }  // namespace comb

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <mutex>
 #include <new>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -78,14 +79,35 @@ std::uint64_t* BucketPool::take() {
 
 namespace {
 
-/// Add `l` into `acc` (same global layout), reading only l's sample range.
+/// Widen `s`'s stored bucket range to cover global buckets [first, end).
+void cover(LatencySample& s, std::size_t first, std::size_t end) {
+  if (s.buckets.empty()) {
+    s.first = first;
+    s.buckets.assign(end - first, 0);
+    return;
+  }
+  const std::size_t oldEnd = s.first + s.buckets.size();
+  const std::size_t lo = std::min(s.first, first);
+  const std::size_t hi = std::max(oldEnd, end);
+  if (lo == s.first && hi == oldEnd) return;
+  std::vector<std::uint64_t> wide(hi - lo, 0);
+  std::copy(s.buckets.begin(), s.buckets.end(), wide.begin() + (s.first - lo));
+  s.buckets = std::move(wide);
+  s.first = lo;
+}
+
+/// Add `l` into `acc` (same global layout), reading only l's sample range
+/// and widening acc's stored range to cover it.
 void accumulate(LatencySample& acc, const LatencySample& l) {
-  COMB_REQUIRE(acc.buckets.size() == l.buckets.size(),
-               "merging latency samples with mismatched layouts");
   const auto [first, end] =
       LatencyRecorder::bucketRange(l.count, l.minTicks, l.maxTicks);
-  for (std::size_t b = first; b < end; ++b) acc.buckets[b] += l.buckets[b];
-  if (l.count) {
+  if (first < end) {
+    COMB_REQUIRE(l.first <= first && end - l.first <= l.buckets.size(),
+                 "latency sample's buckets do not cover its range");
+    cover(acc, first, end);
+    const std::uint64_t* src = l.buckets.data() + (first - l.first);
+    std::uint64_t* dst = acc.buckets.data() + (first - acc.first);
+    for (std::size_t i = 0; i < end - first; ++i) dst[i] += src[i];
     acc.minTicks = acc.count ? std::min(acc.minTicks, l.minTicks) : l.minTicks;
     acc.maxTicks = std::max(acc.maxTicks, l.maxTicks);
   }
@@ -156,11 +178,11 @@ Snapshot Registry::snapshot() const {
     s.sumTicks = r->sumTicks();
     s.minTicks = r->minTicks();
     s.maxTicks = r->maxTicks();
-    s.buckets.resize(LatencyRecorder::bucketCount());
     const auto [first, end] =
         LatencyRecorder::bucketRange(s.count, s.minTicks, s.maxTicks);
     const auto used = r->buckets().subspan(first, end - first);
-    std::copy(used.begin(), used.end(), s.buckets.begin() + first);
+    s.first = first;
+    s.buckets.assign(used.begin(), used.end());
     snap.latencies.push_back(std::move(s));
   }
   return snap;
@@ -191,80 +213,109 @@ LatencySample mergeLatencyFamily(const Snapshot& snap,
     if (name.size() < prefix.size() + suffix.size()) continue;
     if (name.substr(0, prefix.size()) != prefix) continue;
     if (name.substr(name.size() - suffix.size()) != suffix) continue;
-    if (out.buckets.empty()) out.buckets.resize(l.buckets.size());
+    if (out.buckets.empty()) out.buckets.resize(LatencyRecorder::bucketCount());
     accumulate(out, l);
   }
   return out;
 }
 
-Snapshot mergeSnapshots(std::vector<Snapshot> parts) {
-  if (parts.size() == 1) return std::move(parts.front());
-  Snapshot out;
-  // Inputs are name-sorted; a k-way merge would be fancier, but snapshot
-  // merging runs once per simulation, not per event. Maps keep the
-  // result sorted and the lookups simple. try_emplace moves an instrument
-  // in only when its name is new, and otherwise leaves it intact to be
-  // folded in (emplace may move from it before finding the name taken).
-  std::map<std::string, CounterSample, std::less<>> counters;
-  std::map<std::string, HistogramSample, std::less<>> histograms;
-  std::map<std::string, LatencySample, std::less<>> latencies;
-  for (Snapshot& part : parts) {
-    for (CounterSample& c : part.counters) {
-      auto [it, fresh] = counters.try_emplace(c.name, std::move(c));
-      if (fresh) continue;
-      COMB_REQUIRE(it->second.merge == c.merge,
-                   "merging counters with mismatched merge kinds");
-      if (c.merge == MergeKind::Max)
-        it->second.value = std::max(it->second.value, c.value);
-      else
-        it->second.value += c.value;
-    }
-    for (HistogramSample& h : part.histograms) {
-      auto [it, fresh] = histograms.try_emplace(h.name, std::move(h));
-      if (fresh) continue;
-      HistogramSample& acc = it->second;
-      acc.underflow += h.underflow;
-      acc.overflow += h.overflow;
-      acc.total += h.total;
-      if (acc.lo == h.lo && acc.hi == h.hi &&
-          acc.counts.size() == h.counts.size()) {
-        for (std::size_t i = 0; i < h.counts.size(); ++i)
-          acc.counts[i] += h.counts[i];
-        continue;
-      }
-      // Mismatched layouts: rebucket into the first-seen layout by bin
-      // midpoint, mirroring Histogram::merge. Count-preserving and
-      // deterministic; resolution is bounded by the coarser layout.
-      const double srcWidth =
-          (h.hi - h.lo) / static_cast<double>(h.counts.size());
-      for (std::size_t i = 0; i < h.counts.size(); ++i) {
-        const std::size_t c = h.counts[i];
-        if (c == 0) continue;
-        const double mid = h.lo + srcWidth * (static_cast<double>(i) + 0.5);
-        if (mid < acc.lo) {
-          acc.underflow += c;
-        } else if (mid >= acc.hi) {
-          acc.overflow += c;
-        } else {
-          const double t = (mid - acc.lo) / (acc.hi - acc.lo);
-          auto bin = static_cast<std::size_t>(
-              t * static_cast<double>(acc.counts.size()));
-          bin = std::min(bin, acc.counts.size() - 1);
-          acc.counts[bin] += c;
-        }
-      }
-    }
-    for (LatencySample& l : part.latencies) {
-      auto [it, fresh] = latencies.try_emplace(l.name, std::move(l));
-      if (!fresh) accumulate(it->second, l);
+namespace {
+
+void foldCounter(CounterSample& acc, const CounterSample& c) {
+  COMB_REQUIRE(acc.merge == c.merge,
+               "merging counters with mismatched merge kinds");
+  if (c.merge == MergeKind::Max)
+    acc.value = std::max(acc.value, c.value);
+  else
+    acc.value += c.value;
+}
+
+void foldHistogram(HistogramSample& acc, const HistogramSample& h) {
+  acc.underflow += h.underflow;
+  acc.overflow += h.overflow;
+  acc.total += h.total;
+  if (acc.lo == h.lo && acc.hi == h.hi &&
+      acc.counts.size() == h.counts.size()) {
+    for (std::size_t i = 0; i < h.counts.size(); ++i)
+      acc.counts[i] += h.counts[i];
+    return;
+  }
+  // Mismatched layouts: rebucket into the first-seen layout by bin
+  // midpoint, mirroring Histogram::merge. Count-preserving and
+  // deterministic; resolution is bounded by the coarser layout.
+  const double srcWidth = (h.hi - h.lo) / static_cast<double>(h.counts.size());
+  for (std::size_t i = 0; i < h.counts.size(); ++i) {
+    const std::size_t c = h.counts[i];
+    if (c == 0) continue;
+    const double mid = h.lo + srcWidth * (static_cast<double>(i) + 0.5);
+    if (mid < acc.lo) {
+      acc.underflow += c;
+    } else if (mid >= acc.hi) {
+      acc.overflow += c;
+    } else {
+      const double t = (mid - acc.lo) / (acc.hi - acc.lo);
+      auto bin =
+          static_cast<std::size_t>(t * static_cast<double>(acc.counts.size()));
+      bin = std::min(bin, acc.counts.size() - 1);
+      acc.counts[bin] += c;
     }
   }
-  out.counters.reserve(counters.size());
-  for (auto& [name, c] : counters) out.counters.push_back(std::move(c));
-  out.histograms.reserve(histograms.size());
-  for (auto& [name, h] : histograms) out.histograms.push_back(std::move(h));
-  out.latencies.reserve(latencies.size());
-  for (auto& [name, l] : latencies) out.latencies.push_back(std::move(l));
+}
+
+template <typename Sample>
+void requireSorted(const std::vector<Sample>& samples, const char* kind) {
+  for (std::size_t i = 1; i < samples.size(); ++i)
+    COMB_REQUIRE(samples[i - 1].name < samples[i].name,
+                 std::string("mergeSnapshots: a part's ") + kind +
+                     " are not sorted by unique name (at '" +
+                     samples[i].name + "')");
+}
+
+/// K-way merge of every part's name-sorted `field`: each step takes the
+/// lowest head name (the earliest part on ties), moves that sample in and
+/// folds the later parts' equal-named heads into it.
+template <typename Sample, typename Fold>
+std::vector<Sample> mergeByName(std::vector<Snapshot>& parts,
+                                std::vector<Sample> Snapshot::*field,
+                                Fold fold) {
+  std::vector<std::span<Sample>> rest;
+  rest.reserve(parts.size());
+  std::size_t total = 0;
+  for (Snapshot& part : parts) {
+    rest.emplace_back(part.*field);
+    total += (part.*field).size();
+  }
+  std::vector<Sample> out;
+  out.reserve(total);
+  for (;;) {
+    std::span<Sample>* lead = nullptr;
+    for (std::span<Sample>& r : rest)
+      if (!r.empty() && (!lead || r.front().name < lead->front().name))
+        lead = &r;
+    if (!lead) return out;
+    Sample& acc = out.emplace_back(std::move(lead->front()));
+    *lead = lead->subspan(1);
+    for (std::span<Sample>* r = lead + 1; r != rest.data() + rest.size(); ++r)
+      if (!r->empty() && r->front().name == acc.name) {
+        fold(acc, r->front());
+        *r = r->subspan(1);
+      }
+  }
+}
+
+}  // namespace
+
+Snapshot mergeSnapshots(std::vector<Snapshot> parts) {
+  for (const Snapshot& part : parts) {
+    requireSorted(part.counters, "counters");
+    requireSorted(part.histograms, "histograms");
+    requireSorted(part.latencies, "latencies");
+  }
+  if (parts.size() == 1) return std::move(parts.front());
+  Snapshot out;
+  out.counters = mergeByName(parts, &Snapshot::counters, foldCounter);
+  out.histograms = mergeByName(parts, &Snapshot::histograms, foldHistogram);
+  out.latencies = mergeByName(parts, &Snapshot::latencies, accumulate);
   return out;
 }
 
@@ -348,11 +399,11 @@ void writeJson(std::ostream& out, const Snapshot& snap, int indent) {
     us("p999_us", t.p999);
     out << ", \"buckets\": [";
     bool first = true;
-    for (std::size_t b = 0; b < l.buckets.size(); ++b) {
-      if (l.buckets[b] == 0) continue;
+    for (std::size_t k = 0; k < l.buckets.size(); ++k) {
+      if (l.buckets[k] == 0) continue;
       if (!first) out << ", ";
       first = false;
-      out << '[' << b << ", " << l.buckets[b] << ']';
+      out << '[' << l.first + k << ", " << l.buckets[k] << ']';
     }
     out << "]}";
   }

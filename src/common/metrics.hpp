@@ -16,8 +16,9 @@
 // Latency recorders cost what they record. Their bucket arrays come from
 // already-zero page blocks (fresh anonymous pages, or blocks a destroyed
 // registry zeroed and left behind), so registering one writes nothing and
-// only the pages its samples reach become resident; snapshots, merges and
-// tail reductions touch only each sample's [min, max] bucket range.
+// only the pages its samples reach become resident; snapshots store, and
+// merges and tail reductions touch, only each sample's [min, max] bucket
+// range.
 #pragma once
 
 #include <cstdint>
@@ -77,12 +78,17 @@ struct HistogramSample {
 };
 
 /// A latency recorder's state at snapshot time. Buckets follow the global
-/// LatencyRecorder layout, so same-named samples merge by element-wise
-/// count addition — order- and shard-count-independent. `buckets` is
-/// always dense and full-length; every sample lies in
-/// LatencyRecorder::bucketRange(count, minTicks, maxTicks).
+/// LatencyRecorder layout, so same-named samples merge by count addition
+/// — order- and shard-count-independent. `buckets` holds a range of that
+/// layout: `buckets[i]` counts global bucket `first + i`. Every sample
+/// lies in LatencyRecorder::bucketRange(count, minTicks, maxTicks), and
+/// Registry::snapshot and mergeSnapshots store exactly that range (no
+/// buckets and `first == 0` when count == 0), so a sample costs what its
+/// recorder touched. mergeLatencyFamily returns the full dense layout
+/// instead (`first == 0`, bucketCount() buckets).
 struct LatencySample {
   std::string name;
+  std::size_t first = 0;
   std::vector<std::uint64_t> buckets;
   std::uint64_t count = 0;
   std::uint64_t sumTicks = 0;
@@ -90,7 +96,7 @@ struct LatencySample {
   std::uint64_t maxTicks = 0;
 
   TailSummary tail() const {
-    return latencyTail(buckets, count, sumTicks, minTicks, maxTicks);
+    return latencyTail(buckets, first, count, sumTicks, minTicks, maxTicks);
   }
 };
 
@@ -114,7 +120,8 @@ struct Snapshot {
 /// base recorders but not their phase-scoped ".send_latency.<phase>"
 /// variants). All recorders share the global layout, so the merge is
 /// element-wise count addition — order-independent. The result's name is
-/// `prefix*suffix`; count == 0 when nothing matched.
+/// `prefix*suffix` and its buckets are the full dense layout (`first ==
+/// 0`); count == 0, and no buckets, when nothing matched.
 LatencySample mergeLatencyFamily(const Snapshot& snap,
                                  std::string_view prefix,
                                  std::string_view suffix);
@@ -165,7 +172,7 @@ class Registry {
   std::size_t histogramCount() const { return histograms_.size(); }
   std::size_t latencyCount() const { return latencies_.size(); }
 
-  /// Latency buckets are copied only over each recorder's sample range.
+  /// Each latency sample stores only its recorder's bucket range.
   Snapshot snapshot() const;
 
  private:
@@ -184,11 +191,15 @@ class Registry {
 /// with identical layouts combine bin-wise; mismatched layouts are
 /// rebucketed into the first-seen layout by midpoint attribution
 /// (count-preserving, resolution bounded by the coarser layout).
-/// Latency samples share one global layout and always add element-wise.
-/// Inputs are name-sorted (as Registry::snapshot produces) and so is the
-/// result — a single input round-trips unchanged, which keeps the serial
-/// path byte-identical. The parts are consumed: each instrument is moved
-/// out of the first part that names it, so pass them with std::move.
+/// Latency samples share one global layout and always add element-wise,
+/// the stored range widening to cover every part. Each part must list
+/// every instrument kind sorted by unique name, as Registry::snapshot
+/// produces it (checked; ConfigError otherwise), and the result is sorted
+/// the same way: a linear k-way merge in which equal names fold, in part
+/// order, into the first part's sample. A single input round-trips
+/// unchanged, which keeps the serial path byte-identical. The parts are
+/// consumed: each instrument is moved out of the first part that names
+/// it, so pass them with std::move.
 Snapshot mergeSnapshots(std::vector<Snapshot> parts);
 
 /// Serialize a snapshot as a JSON object:

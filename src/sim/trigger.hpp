@@ -12,6 +12,7 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -27,40 +28,49 @@ class Trigger {
 
   bool fired() const { return fired_; }
 
-  /// Latch and wake all current waiters (at the current virtual time).
-  /// Idempotent while latched.
+  /// Latch and wake all current waiters (at the current virtual time) in
+  /// the order they started waiting. Idempotent while latched.
   void fire() {
     if (fired_) return;
     fired_ = true;
-    auto waiters = std::move(waiters_);
-    waiters_.clear();
-    for (auto h : waiters) {
-      sim_->schedule(0.0, [h] { h.resume(); });
-    }
+    const auto first = std::exchange(first_, {});
+    if (first) sim_->schedule(0.0, [first] { first.resume(); });
+    // schedule() only queues the resumptions, so nobody can wait on this
+    // trigger while the loop runs; the spill keeps its capacity.
+    for (auto h : more_) sim_->schedule(0.0, [h] { h.resume(); });
+    more_.clear();
   }
 
   /// Re-arm. Only valid when no one is waiting.
   void reset() {
-    COMB_ASSERT(waiters_.empty(), "Trigger::reset with pending waiters");
+    COMB_ASSERT(!first_, "Trigger::reset with pending waiters");
     fired_ = false;
   }
 
   struct Awaiter {
     Trigger& t;
     bool await_ready() const noexcept { return t.fired_; }
-    void await_suspend(std::coroutine_handle<> h) { t.waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      if (t.first_)
+        t.more_.push_back(h);
+      else
+        t.first_ = h;
+    }
     void await_resume() const noexcept {}
   };
 
   /// Awaitable: suspend until fired.
   Awaiter wait() { return Awaiter{*this}; }
 
-  std::size_t waiterCount() const { return waiters_.size(); }
+  std::size_t waiterCount() const { return (first_ ? 1 : 0) + more_.size(); }
 
  private:
   Simulator* sim_;
   bool fired_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  // The oldest waiter sits inline, so the common single-waiter wait
+  // allocates nothing; later ones spill into `more_` in arrival order.
+  std::coroutine_handle<> first_;
+  std::vector<std::coroutine_handle<>> more_;
 };
 
 /// Completes waiters after arrive() was called `expected` times.

@@ -76,6 +76,31 @@ TEST(CongestionMatrix, SendAndReceiveTotalsBalance) {
   }
 }
 
+// congestionExpectedRecvs is closed-form; it must equal the column sums
+// of the matrix congestionDests builds, for every pattern and size.
+TEST(CongestionMatrix, ExpectedRecvsMatchBruteForceColumnSums) {
+  for (const auto pattern : {CongestionPattern::Incast,
+                             CongestionPattern::Hotspot,
+                             CongestionPattern::AllToAll}) {
+    for (int n = 2; n <= 64; ++n) {
+      for (int m = 1; m <= 9; ++m) {
+        CongestionParams p =
+            quickParams(pattern, static_cast<std::uint64_t>(n));
+        p.messagesPerSender = m;
+        std::vector<std::uint64_t> column(static_cast<std::size_t>(n), 0);
+        for (int s = 0; s < n; ++s)
+          for (const int d : congestionDests(p, s))
+            ++column[static_cast<std::size_t>(d)];
+        for (int r = 0; r < n; ++r)
+          ASSERT_EQ(congestionExpectedRecvs(p, r),
+                    column[static_cast<std::size_t>(r)])
+              << congestionPatternName(pattern) << " n=" << n << " m=" << m
+              << " rank " << r;
+      }
+    }
+  }
+}
+
 TEST(CongestionMatrix, IncastTargetsNodeZero) {
   CongestionParams p = quickParams(CongestionPattern::Incast, 8);
   EXPECT_TRUE(congestionDests(p, 0).empty());

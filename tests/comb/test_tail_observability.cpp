@@ -134,6 +134,7 @@ void expectSameSnapshot(const metrics::Snapshot& a,
     if (shardDependent(la.name)) continue;
     const auto* lb = b.latency(la.name);
     ASSERT_NE(lb, nullptr) << la.name;
+    EXPECT_EQ(la.first, lb->first) << la.name;
     EXPECT_EQ(la.buckets, lb->buckets) << la.name;
     EXPECT_EQ(la.count, lb->count) << la.name;
     EXPECT_EQ(la.sumTicks, lb->sumTicks) << la.name;

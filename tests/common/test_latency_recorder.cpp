@@ -137,6 +137,8 @@ TEST(LatencyRecorder, MergeIsOrderIndependent) {
   const metrics::Snapshot ba =
       metrics::mergeSnapshots({partB.snapshot(), partA.snapshot()});
   ASSERT_EQ(ab.latencies.size(), 1u);
+  EXPECT_EQ(ab.latencies[0].first, sw.latencies[0].first);
+  EXPECT_EQ(ba.latencies[0].first, sw.latencies[0].first);
   EXPECT_EQ(ab.latencies[0].buckets, sw.latencies[0].buckets);
   EXPECT_EQ(ba.latencies[0].buckets, sw.latencies[0].buckets);
   EXPECT_EQ(ab.latencies[0].count, sw.latencies[0].count);
@@ -156,6 +158,9 @@ TEST(LatencyRecorder, MergeWithEmptySideKeepsExtrema) {
   EXPECT_EQ(m.latencies[0].count, 1u);
   EXPECT_EQ(m.latencies[0].minTicks, 100u);
   EXPECT_EQ(m.latencies[0].maxTicks, 100u);
+  EXPECT_EQ(m.latencies[0].first, LatencyRecorder::bucketFor(100));
+  ASSERT_EQ(m.latencies[0].buckets.size(), 1u);
+  EXPECT_EQ(m.latencies[0].buckets[0], 1u);
 }
 
 TEST(LatencyRecorder, SteadyStateRecordingIsAllocationFree) {

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -105,6 +106,15 @@ TEST(Metrics, MergeRebucketsMismatchedHistogramLayouts) {
   EXPECT_EQ(h.total, 4u);
 }
 
+// A sample's stored range expanded into the full global layout.
+std::vector<std::uint64_t> denseBuckets(const LatencySample& s) {
+  std::vector<std::uint64_t> out(LatencyRecorder::bucketCount(), 0);
+  EXPECT_LE(s.first + s.buckets.size(), out.size()) << s.name;
+  std::copy(s.buckets.begin(), s.buckets.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(s.first));
+  return out;
+}
+
 // mergeSnapshots consumes its parts: the first part to name an instrument
 // hands it over, and later parts fold into it. One name per instrument
 // kind sits in all three parts; every order must give the hand-computed
@@ -183,7 +193,7 @@ TEST(Metrics, ConsumingMergeMatchesHandComputedInEveryOrder) {
     ASSERT_EQ(m.latencies.size(), 1u);
     const LatencySample& lat = m.latencies[0];
     EXPECT_EQ(lat.name, "lat");
-    EXPECT_EQ(lat.buckets, latBuckets);
+    EXPECT_EQ(denseBuckets(lat), latBuckets);
     EXPECT_EQ(lat.count, 4u);
     EXPECT_EQ(lat.sumTicks, 2001075u);
     EXPECT_EQ(lat.minTicks, 5u);
@@ -231,8 +241,9 @@ TEST(Metrics, RegistriesOnSeveralThreadsStartZeroed) {
   EXPECT_EQ(dirty.load(), 0);
 }
 
-// Snapshots copy only [bucketFor(min), bucketFor(max)]; the extreme ends
-// of the layout must still come out as the recorder's full dense view.
+// Snapshots store exactly [bucketFor(min), bucketFor(max)]: at the
+// extreme ends of the layout that range must still hold every count of
+// the recorder's dense view, and an empty recorder stores nothing.
 TEST(Metrics, LatencySnapshotCopiesEdgeRangesExactly) {
   const std::uint64_t clamped = LatencyRecorder::toTicks(1e30);
   ASSERT_EQ(clamped, 9000000000000000000ull);
@@ -248,10 +259,24 @@ TEST(Metrics, LatencySnapshotCopiesEdgeRangesExactly) {
     const Snapshot snap = reg.snapshot();
     ASSERT_EQ(snap.latencies.size(), 1u);
     const LatencySample& s = snap.latencies[0];
-    ASSERT_EQ(s.buckets.size(), LatencyRecorder::bucketCount());
     const auto dense = r.buckets();
-    EXPECT_TRUE(std::equal(dense.begin(), dense.end(), s.buckets.begin()))
+    const auto [first, end] =
+        LatencyRecorder::bucketRange(r.count(), r.minTicks(), r.maxTicks());
+    EXPECT_EQ(s.first, first) << ticks.size() << " samples";
+    EXPECT_TRUE(std::equal(s.buckets.begin(), s.buckets.end(),
+                           dense.begin() + static_cast<std::ptrdiff_t>(first),
+                           dense.begin() + static_cast<std::ptrdiff_t>(end)))
         << ticks.size() << " samples";
+    const auto zero = [](std::uint64_t c) { return c == 0; };
+    EXPECT_TRUE(std::all_of(dense.begin(),
+                            dense.begin() + static_cast<std::ptrdiff_t>(first),
+                            zero));
+    EXPECT_TRUE(std::all_of(dense.begin() + static_cast<std::ptrdiff_t>(end),
+                            dense.end(), zero));
+    if (ticks.empty()) {
+      EXPECT_EQ(s.first, 0u);
+      EXPECT_TRUE(s.buckets.empty());
+    }
     EXPECT_EQ(s.count, ticks.size());
     EXPECT_EQ(s.minTicks, r.minTicks());
     EXPECT_EQ(s.maxTicks, r.maxTicks());
@@ -338,6 +363,213 @@ TEST(Metrics, RangeBoundedLatencyReductionMatchesFullScan) {
     EXPECT_EQ(t.p90, bruteQuantile(expect, all.size(), 0.90));
     EXPECT_EQ(t.p99, bruteQuantile(expect, all.size(), 0.99));
     EXPECT_EQ(t.p999, bruteQuantile(expect, all.size(), 0.999));
+  }
+}
+
+// A snapshot's counter names, in order.
+std::vector<std::string> counterNames(const Snapshot& s) {
+  std::vector<std::string> out;
+  for (const CounterSample& c : s.counters) out.push_back(c.name);
+  return out;
+}
+
+// The shard merge is a k-way walk over name-sorted parts: interleaved and
+// disjoint names, an empty part, and a name only the last part carries
+// must all come out sorted with each name once, for 2, 3 and 4 parts.
+TEST(Metrics, LinearMergeInterleavesDisjointAndEmptyParts) {
+  std::vector<Registry> regs(4);
+  for (const char* n : {"a", "c", "e"}) regs[0].counter(n).add(1);
+  for (const char* n : {"b", "c", "d"}) regs[1].counter(n).add(10);
+  // regs[2] stays empty.
+  regs[3].counter("c").add(100);
+  regs[3].counter("z.last").add(1000);
+  regs[0].latency("lat.a").recordTicks(5);
+  regs[1].latency("lat.b").recordTicks(70);
+  regs[3].latency("lat.a").recordTicks(9000);
+  regs[3].latency("lat.z");  // only in the last part, never recorded
+
+  const auto merge = [&regs](std::vector<std::size_t> which) {
+    std::vector<Snapshot> parts;
+    for (const std::size_t i : which) parts.push_back(regs[i].snapshot());
+    return mergeSnapshots(std::move(parts));
+  };
+  using Names = std::vector<std::string>;
+
+  const Snapshot two = merge({0, 1});
+  EXPECT_EQ(counterNames(two), (Names{"a", "b", "c", "d", "e"}));
+  EXPECT_EQ(two.counterValue("c"), 11u);
+
+  const Snapshot withEmpty = merge({2, 0, 1});
+  EXPECT_EQ(counterNames(withEmpty), (Names{"a", "b", "c", "d", "e"}));
+  EXPECT_EQ(withEmpty.counterValue("c"), 11u);
+
+  const Snapshot disjoint = merge({1, 3});
+  EXPECT_EQ(counterNames(disjoint), (Names{"b", "c", "d", "z.last"}));
+
+  const Snapshot all = merge({0, 1, 2, 3});
+  EXPECT_EQ(counterNames(all), (Names{"a", "b", "c", "d", "e", "z.last"}));
+  EXPECT_EQ(all.counterValue("a"), 1u);
+  EXPECT_EQ(all.counterValue("c"), 111u);
+  EXPECT_EQ(all.counterValue("z.last"), 1000u);
+  ASSERT_EQ(all.latencies.size(), 3u);
+  EXPECT_EQ(all.latencies[0].name, "lat.a");
+  EXPECT_EQ(all.latencies[1].name, "lat.b");
+  EXPECT_EQ(all.latencies[2].name, "lat.z");
+  const LatencySample& a = all.latencies[0];
+  EXPECT_EQ(a.count, 2u);
+  EXPECT_EQ(a.first, LatencyRecorder::bucketFor(5));
+  EXPECT_EQ(a.first + a.buckets.size(), LatencyRecorder::bucketFor(9000) + 1);
+  EXPECT_EQ(a.buckets.front(), 1u);
+  EXPECT_EQ(a.buckets.back(), 1u);
+  EXPECT_EQ(all.latencies[2].count, 0u);
+  EXPECT_TRUE(all.latencies[2].buckets.empty());
+
+  EXPECT_TRUE(mergeSnapshots({}).empty());
+  EXPECT_TRUE(merge({2, 2, 2}).empty());
+}
+
+// Parts must be name-sorted with unique names, as Registry::snapshot
+// emits them; anything else is rejected rather than merged out of order.
+TEST(Metrics, MergeRejectsUnsortedParts) {
+  Registry reg;
+  reg.counter("a").add(1);
+  reg.latency("x").recordTicks(3);
+  reg.latency("y").recordTicks(4);
+
+  Snapshot unsortedCounters;
+  unsortedCounters.counters = {{"b", 1, MergeKind::Sum},
+                               {"a", 2, MergeKind::Sum}};
+  EXPECT_THROW(mergeSnapshots({reg.snapshot(), std::move(unsortedCounters)}),
+               ConfigError);
+
+  Snapshot duplicate;
+  duplicate.counters = {{"a", 1, MergeKind::Sum}, {"a", 2, MergeKind::Sum}};
+  EXPECT_THROW(mergeSnapshots({std::move(duplicate)}), ConfigError);
+
+  Snapshot unsortedLatencies = reg.snapshot();
+  std::swap(unsortedLatencies.latencies[0], unsortedLatencies.latencies[1]);
+  EXPECT_THROW(mergeSnapshots({std::move(unsortedLatencies), reg.snapshot()}),
+               ConfigError);
+
+  Snapshot unsortedHistograms;
+  unsortedHistograms.histograms.resize(2);
+  unsortedHistograms.histograms[0].name = "h2";
+  unsortedHistograms.histograms[1].name = "h1";
+  EXPECT_THROW(mergeSnapshots({reg.snapshot(), std::move(unsortedHistograms)}),
+               ConfigError);
+}
+
+// Map-based reference merge: the obvious name -> accumulator fold, with
+// latency buckets kept dense over the whole layout.
+struct ReferenceMerge {
+  std::map<std::string, CounterSample> counters;
+  std::map<std::string, HistogramSample> histograms;
+  std::map<std::string, LatencySample> latencies;
+
+  void add(const Snapshot& part) {
+    for (const CounterSample& c : part.counters) {
+      auto [it, fresh] = counters.try_emplace(c.name, c);
+      if (fresh) continue;
+      it->second.value = c.merge == MergeKind::Max
+                             ? std::max(it->second.value, c.value)
+                             : it->second.value + c.value;
+    }
+    for (const HistogramSample& h : part.histograms) {
+      auto [it, fresh] = histograms.try_emplace(h.name, h);
+      if (fresh) continue;
+      for (std::size_t i = 0; i < h.counts.size(); ++i)
+        it->second.counts[i] += h.counts[i];
+      it->second.underflow += h.underflow;
+      it->second.overflow += h.overflow;
+      it->second.total += h.total;
+    }
+    for (const LatencySample& l : part.latencies) {
+      LatencySample& acc = latencies[l.name];
+      if (acc.buckets.empty()) {
+        acc.name = l.name;
+        acc.buckets.assign(LatencyRecorder::bucketCount(), 0);
+      }
+      const std::vector<std::uint64_t> dense = denseBuckets(l);
+      for (std::size_t b = 0; b < dense.size(); ++b) acc.buckets[b] += dense[b];
+      if (l.count) {
+        acc.minTicks =
+            acc.count ? std::min(acc.minTicks, l.minTicks) : l.minTicks;
+        acc.maxTicks = std::max(acc.maxTicks, l.maxTicks);
+      }
+      acc.count += l.count;
+      acc.sumTicks += l.sumTicks;
+    }
+  }
+};
+
+TEST(Metrics, LinearMergeMatchesMapReferenceOnRandomRegistries) {
+  std::mt19937_64 rng(0x3e76e);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t partCount = 2 + pick(3);
+    std::vector<Registry> regs(partCount);
+    for (Registry& reg : regs) {
+      // Each part registers a random subset of a shared name pool, in a
+      // random order; a name's histogram layout and counter kind are
+      // fixed by the name, as they are across a machine's shards.
+      for (int i = 0, n = static_cast<int>(pick(16)); i < n; ++i) {
+        const std::size_t k = pick(12);
+        const std::string name = "n" + std::to_string(k);
+        if (k % 3 == 0)
+          reg.counter("c." + name, MergeKind::Max).raiseTo(rng() % 1000);
+        else
+          reg.counter("c." + name).add(rng() % 1000);
+        const double hi = 10.0 * static_cast<double>(k + 1);
+        reg.histogram("h." + name, 0.0, hi, 4 + k)
+            .add(static_cast<double>(rng() % 200) - 20.0);
+        fillRandom(reg.latency("l." + name), rng);
+      }
+    }
+    ReferenceMerge ref;
+    std::vector<Snapshot> parts;
+    for (const Registry& reg : regs) {
+      parts.push_back(reg.snapshot());
+      ref.add(parts.back());
+    }
+    const Snapshot m = mergeSnapshots(std::move(parts));
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+
+    ASSERT_EQ(m.counters.size(), ref.counters.size());
+    auto c = ref.counters.begin();
+    for (const CounterSample& got : m.counters) {
+      const CounterSample& want = (c++)->second;
+      EXPECT_EQ(got.name, want.name);
+      EXPECT_EQ(got.value, want.value) << got.name;
+      EXPECT_EQ(got.merge, want.merge) << got.name;
+    }
+    ASSERT_EQ(m.histograms.size(), ref.histograms.size());
+    auto h = ref.histograms.begin();
+    for (const HistogramSample& got : m.histograms) {
+      const HistogramSample& want = (h++)->second;
+      EXPECT_EQ(got.name, want.name);
+      EXPECT_EQ(got.counts, want.counts) << got.name;
+      EXPECT_EQ(got.underflow, want.underflow) << got.name;
+      EXPECT_EQ(got.overflow, want.overflow) << got.name;
+      EXPECT_EQ(got.total, want.total) << got.name;
+    }
+    ASSERT_EQ(m.latencies.size(), ref.latencies.size());
+    auto l = ref.latencies.begin();
+    for (const LatencySample& got : m.latencies) {
+      const LatencySample& want = (l++)->second;
+      EXPECT_EQ(got.name, want.name);
+      EXPECT_EQ(denseBuckets(got), want.buckets) << got.name;
+      EXPECT_EQ(got.count, want.count) << got.name;
+      EXPECT_EQ(got.sumTicks, want.sumTicks) << got.name;
+      EXPECT_EQ(got.minTicks, want.minTicks) << got.name;
+      EXPECT_EQ(got.maxTicks, want.maxTicks) << got.name;
+      // The merged sample stores exactly its own range.
+      const auto [first, end] =
+          LatencyRecorder::bucketRange(got.count, got.minTicks, got.maxTicks);
+      EXPECT_EQ(got.first, first) << got.name;
+      EXPECT_EQ(got.buckets.size(), end - first) << got.name;
+    }
   }
 }
 

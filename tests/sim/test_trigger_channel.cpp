@@ -32,6 +32,32 @@ TEST(Trigger, WaitersResumeOnFire) {
   EXPECT_DOUBLE_EQ(sim.now(), 2e-3);
 }
 
+// The first waiter is held inline and later ones spill to a vector; the
+// wake order must still be arrival order, also after a re-arm.
+TEST(Trigger, WaitersWakeInArrivalOrderAcrossReArms) {
+  Simulator sim;
+  Trigger t(sim);
+  std::vector<int> woke;
+  auto waiter = [&](int id, Time start) -> Task<void> {
+    co_await sim.delay(start);
+    co_await t.wait();
+    woke.push_back(id);
+  };
+  for (const int id : {3, 1, 4, 2}) sim.spawn(waiter(id, id * 1e-6), "w");
+  sim.schedule(1_ms, [&] {
+    EXPECT_EQ(t.waiterCount(), 4u);
+    t.fire();
+    EXPECT_EQ(t.waiterCount(), 0u);
+  });
+  sim.schedule(2_ms, [&] {
+    t.reset();
+    for (const int id : {9, 7, 8}) sim.spawn(waiter(id, (10 - id) * 1e-6), "w");
+  });
+  sim.schedule(3_ms, [&] { t.fire(); });
+  sim.run();
+  EXPECT_EQ(woke, (std::vector<int>{1, 2, 3, 4, 9, 8, 7}));
+}
+
 TEST(Trigger, WaitAfterFireCompletesImmediately) {
   Simulator sim;
   Trigger t(sim);

@@ -585,10 +585,11 @@ PlotSeries latencySeries(const metrics::LatencySample& sample,
   PlotSeries s;
   s.name = std::move(name);
   std::uint64_t cum = 0;
-  for (std::size_t b = 0; b < sample.buckets.size(); ++b) {
-    const std::uint64_t c = sample.buckets[b];
+  for (std::size_t i = 0; i < sample.buckets.size(); ++i) {
+    const std::uint64_t c = sample.buckets[i];
     if (c == 0) continue;
     cum += c;
+    const std::size_t b = sample.first + i;
     const double midTicks =
         0.5 * (static_cast<double>(LatencyRecorder::bucketLowTicks(b)) +
                static_cast<double>(LatencyRecorder::bucketHighTicks(b)));
