@@ -17,7 +17,8 @@
 #   3. rebuild the tracing/observability suites under AddressSanitizer
 #      (-DCOMB_SANITIZE=address) and run the `trace`-labelled tests: the
 #      TraceLog ring recycles slots and interns labels, exactly the kind
-#      of code ASan exists to check;
+#      of code ASan exists to check — plus the nic::ReliableLink unit
+#      tests, whose retransmission timers capture the link's `this`;
 #   4. rebuild the stats/archive/compare engine under UBSan
 #      (-DCOMB_SANITIZE=undefined) and run the `stats`-labelled tests:
 #      percentile interpolation, bootstrap index arithmetic and the
@@ -84,13 +85,13 @@ build_tsan() {
       test_log test_thread_comb test_fault test_fault_injection \
       test_tracelog test_trace_export test_audit test_executor test_pdes \
       test_window_barrier test_executor_alloc test_tail_observability \
-      test_progress_thread test_rdma
+      test_progress_thread test_rdma test_reliable_link
 }
 build_asan() {
   cmake -B build-asan -S . -DCOMB_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
     cmake --build build-asan -j --target test_tracelog test_trace_export \
-      test_audit test_progress_thread test_rdma
+      test_audit test_progress_thread test_rdma test_reliable_link
 }
 build_ubsan() {
   cmake -B build-ubsan -S . -DCOMB_SANITIZE=undefined \
@@ -109,6 +110,7 @@ run_stage "tsan trace"       ctest_checked build-tsan -L trace
 run_stage "tsan pdes"        ctest_checked build-tsan -L pdes
 run_stage "asan build"       build_asan
 run_stage "asan trace"       ctest_checked build-asan -L trace
+run_stage "asan link"        ctest_checked build-asan -R '^ReliableLink\.'
 run_stage "ubsan build"      build_ubsan
 run_stage "ubsan stats"      ctest_checked build-ubsan -L stats
 if [[ "$PERF" == 1 ]]; then

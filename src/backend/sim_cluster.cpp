@@ -4,9 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/string_util.hpp"
-#include "nic/gm_nic.hpp"
-#include "nic/portals_nic.hpp"
-#include "nic/rdma_nic.hpp"
+#include "nic/reliable_link.hpp"
 #include "transport/gm.hpp"
 #include "transport/portals.hpp"
 #include "transport/progress_thread.hpp"
@@ -86,24 +84,7 @@ SimCluster::SimCluster(MachineConfig cfg, int nodeCount, int simJobs,
   for (int i = 0; i < nodeCount; ++i) {
     nodes_.emplace_back();
     const net::NodeId id = fabric_->addNode([this, i](net::Packet p) {
-      auto& ep = *nodes_[static_cast<std::size_t>(i)].endpoint;
-      switch (cfg_.kind) {
-        case TransportKind::Gm:
-        case TransportKind::ProgressThread:
-          // ProgressThreadEndpoint derives from GmEndpoint and shares
-          // its NIC model; delivery is identical.
-          static_cast<transport::GmEndpoint&>(ep).nic().deliver(
-              std::move(p));
-          break;
-        case TransportKind::Portals:
-          static_cast<transport::PortalsEndpoint&>(ep).nic().deliver(
-              std::move(p));
-          break;
-        case TransportKind::Rdma:
-          static_cast<transport::RdmaEndpoint&>(ep).nic().deliver(
-              std::move(p));
-          break;
-      }
+      nodes_[static_cast<std::size_t>(i)].endpoint->deliver(std::move(p));
     });
     COMB_ASSERT(id == i, "fabric node ids must be dense");
     ids.push_back(id);
@@ -232,27 +213,11 @@ std::unique_ptr<sim::TraceLog> SimCluster::releaseTraceLog() {
 
 net::FaultCounters SimCluster::faultCounters() const {
   net::FaultCounters c = fabric_->linkFaultCounters();
-  const auto tally = [&c](const auto& nic) {
-    c.retransmits += nic.retransmits();
-    c.timeoutWakeups += nic.timeoutWakeups();
-    c.duplicatesFiltered += nic.duplicatesFiltered();
-  };
   for (const auto& node : nodes_) {
-    switch (cfg_.kind) {
-      case TransportKind::Gm:
-      case TransportKind::ProgressThread:
-        tally(static_cast<const transport::GmEndpoint&>(*node.endpoint)
-                  .nic());
-        break;
-      case TransportKind::Portals:
-        tally(static_cast<const transport::PortalsEndpoint&>(*node.endpoint)
-                  .nic());
-        break;
-      case TransportKind::Rdma:
-        tally(static_cast<const transport::RdmaEndpoint&>(*node.endpoint)
-                  .nic());
-        break;
-    }
+    const nic::ReliableLink& link = node.endpoint->link();
+    c.retransmits += link.retransmits();
+    c.timeoutWakeups += link.timeoutWakeups();
+    c.duplicatesFiltered += link.duplicatesFiltered();
   }
   return c;
 }

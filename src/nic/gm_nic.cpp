@@ -1,8 +1,5 @@
 #include "nic/gm_nic.hpp"
 
-#include <algorithm>
-#include <memory>
-
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 
@@ -22,14 +19,12 @@ metrics::Counter& nicCounter(sim::Simulator& sim, net::NodeId node,
 
 GmNic::GmNic(sim::Simulator& sim, net::Fabric& fabric, net::NodeId node,
              transport::ReliabilityConfig rel)
-    : sim_(sim), fabric_(fabric), node_(node), rel_(rel),
-      reliable_(fabric.lossy()),
+    : sim_(sim), fabric_(fabric), node_(node),
       counters_{nicCounter(sim, node, "messages_sent"),
                 nicCounter(sim, node, "messages_delivered"),
-                nicCounter(sim, node, "frags_tx"),
-                nicCounter(sim, node, "retransmits"),
-                nicCounter(sim, node, "timeout_wakeups"),
-                nicCounter(sim, node, "duplicates_filtered")},
+                nicCounter(sim, node, "frags_tx")},
+      link_(sim, fabric, node, {"gm", "GM"}, rel,
+            [this](std::uint64_t msgId) { onTimeout(msgId); }),
       eventWaitLatency_(sim.metrics().latency(
           strFormat("nic.gm.n%d.event_wait", node))) {}
 
@@ -43,60 +38,21 @@ std::uint64_t GmNic::sendMessage(net::NodeId dst, WireKind kind,
   const std::uint64_t msgId = nextMsgId_++;
   ++messagesSent_;
   counters_.sent.add();
-  const Bytes mtu = fabric_.mtu();
 
   TxMsg msg;
   msg.dst = dst;
   msg.msgId = msgId;
   msg.wireBytes = wireBytes;
-  msg.fragCount = static_cast<std::uint32_t>(
-      std::max<Bytes>(1, (wireBytes + mtu - 1) / mtu));
   msg.reportSendDone = reportSendDone;
   msg.control = kind == WireKind::Rts || kind == WireKind::Cts;
-  msg.meta = pool_.acquire();
-  msg.meta->kind = kind;
-  msg.meta->msgId = msgId;
-  msg.meta->fragCount = msg.fragCount;
-  msg.meta->env = env;
-  msg.meta->msgBytes = msgBytes;
-  msg.meta->senderHandle = senderHandle;
-  msg.meta->recvHandle = recvHandle;
-  msg.meta->matchSeq = matchSeq;
-  msg.meta->data = std::move(data);
-
-  if (reliable_ && kind != WireKind::Ack) {
-    Unacked u;
-    u.dst = dst;
-    u.kind = kind;
-    u.wireBytes = wireBytes;
-    u.fragCount = msg.fragCount;
-    u.acked.assign(msg.fragCount, false);
-    u.reportSendDone = reportSendDone;
-    u.meta = msg.meta;
-    unacked_.emplace(msgId, std::move(u));
-  }
+  msg.meta = link_.describe(kind, msgId, wireBytes, env, msgBytes,
+                            std::move(data), senderHandle, recvHandle,
+                            matchSeq);
+  link_.track(dst, wireBytes, msg.meta, reportSendDone);
 
   (msg.control ? ctrlQ_ : dataQ_).push_back(std::move(msg));
   pumpTx();
   return msgId;
-}
-
-Bytes GmNic::fragPayloadBytes(Bytes wireBytes, std::uint32_t frag) const {
-  const Bytes mtu = fabric_.mtu();
-  const Bytes offset = static_cast<Bytes>(frag) * mtu;
-  return std::min(wireBytes - offset, mtu);
-}
-
-void GmNic::injectFragment(TxMsg& msg) {
-  const std::uint32_t i = msg.fragList.empty()
-                              ? msg.nextFrag
-                              : msg.fragList[msg.nextFrag];
-  ++msg.nextFrag;
-  auto wp = pool_.acquire(*msg.meta);
-  wp->fragIndex = i;
-  if (i != 0) wp->data = nullptr;  // the whole buffer rides fragment 0
-  fabric_.inject(node_, msg.dst, fragPayloadBytes(msg.wireBytes, i),
-                 std::move(wp));
 }
 
 void GmNic::pumpTx() {
@@ -115,26 +71,22 @@ void GmNic::pumpTx() {
   // one at a time (txBusy_), so the Begin/End pair cannot interleave.
   sim_.emitTraceBegin(sim::TraceCategory::NicEvent, node_, "dma",
                       static_cast<double>(msg.wireBytes));
-  injectFragment(msg);
+  const std::uint32_t frag =
+      msg.fragList.empty() ? msg.nextFrag : msg.fragList[msg.nextFrag];
+  ++msg.nextFrag;
+  link_.injectFragment(msg.meta, msg.dst, msg.wireBytes, frag);
   const std::uint32_t fragsToSend =
-      msg.fragList.empty() ? msg.fragCount
+      msg.fragList.empty() ? msg.meta->fragCount
                            : static_cast<std::uint32_t>(msg.fragList.size());
-  const bool msgDone = msg.nextFrag == fragsToSend;
   const Time dmaFree = fabric_.uplink(node_).freeAt();
-  if (msgDone) {
-    if (reliable_ && unacked_.count(msg.msgId) != 0) {
-      // Ack protocol owns completion: SendDone fires on full ack, and the
-      // retransmission clock starts once the DMA has drained.
-      armTimer(msg.msgId, dmaFree);
-    } else if (msg.reportSendDone) {
-      // Outbound DMA completes when the last fragment has serialized.
+  if (msg.nextFrag == fragsToSend) {
+    // A tracked message's completion belongs to the ack protocol:
+    // SendDone fires on full ack, and the retransmission clock starts
+    // once the DMA has drained. Otherwise outbound DMA completes when the
+    // last fragment has serialized.
+    if (!link_.arm(msg.msgId, dmaFree) && msg.reportSendDone) {
       const std::uint64_t msgId = msg.msgId;
-      sim_.scheduleAt(dmaFree, [this, msgId] {
-        GmEvent ev;
-        ev.type = GmEvent::Type::SendDone;
-        ev.msgId = msgId;
-        pushEvent(std::move(ev));
-      });
+      sim_.scheduleAt(dmaFree, [this, msgId] { pushSendDone(msgId); });
     }
     q->pop_front();
   }
@@ -148,88 +100,29 @@ void GmNic::pumpTx() {
   });
 }
 
-void GmNic::armTimer(std::uint64_t msgId, Time at) {
-  auto it = unacked_.find(msgId);
-  if (it == unacked_.end()) return;  // fully acked before the DMA drained
-  Time rto = rel_.ackTimeout;
-  for (int i = 0; i < it->second.retries; ++i) rto *= rel_.backoff;
-  it->second.timer.cancel();
-  it->second.timer =
-      sim_.scheduleAt(at + rto, [this, msgId] { onTimer(msgId); });
-}
-
-void GmNic::onTimer(std::uint64_t msgId) {
-  ++timeoutWakeups_;
-  counters_.timeouts.add();
-  auto it = unacked_.find(msgId);
-  if (it == unacked_.end() || it->second.timeoutQueued) return;
-  // GM progress is library-driven: the NIC cannot retransmit on its own.
-  // Queue a Timeout event and wait for the library to poll it — the timer
-  // is re-armed only once the retransmission actually goes out.
-  it->second.timeoutQueued = true;
+void GmNic::onTimeout(std::uint64_t msgId) {
+  // The NIC cannot retransmit on its own: queue a Timeout event and wait
+  // for the library to poll it. The timer is re-armed only once the
+  // retransmission actually goes out.
   GmEvent ev;
   ev.type = GmEvent::Type::Timeout;
   ev.msgId = msgId;
   pushEvent(std::move(ev));
 }
 
-std::optional<GmNic::RetransmitPlan> GmNic::planRetransmit(
-    std::uint64_t msgId) const {
-  auto it = unacked_.find(msgId);
-  if (it == unacked_.end()) return std::nullopt;  // acked meanwhile: stale
-  const Unacked& u = it->second;
-  RetransmitPlan plan;
-  plan.kind = u.kind;
-  plan.retries = u.retries;
-  plan.budgetExhausted = u.retries >= rel_.maxRetries;
-  for (std::uint32_t i = 0; i < u.fragCount; ++i)
-    if (!u.acked[i]) plan.missingBytes += fragPayloadBytes(u.wireBytes, i);
-  return plan;
-}
-
 void GmNic::executeRetransmit(std::uint64_t msgId) {
-  auto it = unacked_.find(msgId);
-  COMB_ASSERT(it != unacked_.end(), "retransmit of a fully-acked message");
-  Unacked& u = it->second;
-  COMB_ASSERT(u.retries < rel_.maxRetries, "retransmit budget exhausted");
-  ++u.retries;
-  u.timeoutQueued = false;
-
+  const ReliableLink::Unacked& u = link_.beginRound(msgId);
   TxMsg msg;
   msg.dst = u.dst;
   msg.msgId = msgId;
   msg.meta = u.meta;
   msg.wireBytes = u.wireBytes;
-  msg.fragCount = u.fragCount;
-  msg.control = u.kind == WireKind::Rts || u.kind == WireKind::Cts;
-  for (std::uint32_t i = 0; i < u.fragCount; ++i)
+  msg.control = u.meta->kind == WireKind::Rts || u.meta->kind == WireKind::Cts;
+  for (std::uint32_t i = 0; i < u.acked.size(); ++i)
     if (!u.acked[i]) msg.fragList.push_back(i);
-  COMB_ASSERT(!msg.fragList.empty(), "retransmit with nothing missing");
-  retransmits_ += msg.fragList.size();
-  counters_.retransmits.add(msg.fragList.size());
-  if (sim_.tracing())
-    sim_.emitTrace(sim::TraceCategory::Fault, node_, "gm:retransmit",
-                   static_cast<double>(msg.fragList.size()));
+  link_.noteRetransmits(msg.fragList.size());
   (msg.control ? ctrlQ_ : dataQ_).push_back(std::move(msg));
   pumpTx();
-}
-
-void GmNic::handleAck(const WirePayload& ack) {
-  auto it = unacked_.find(ack.msgId);
-  if (it == unacked_.end()) return;  // duplicate ack after completion
-  Unacked& u = it->second;
-  if (ack.ackFragIndex >= u.fragCount || u.acked[ack.ackFragIndex]) return;
-  u.acked[ack.ackFragIndex] = true;
-  if (++u.ackedCount < u.fragCount) return;
-  u.timer.cancel();
-  const bool report = u.reportSendDone;
-  unacked_.erase(it);
-  if (report) {
-    GmEvent ev;
-    ev.type = GmEvent::Type::SendDone;
-    ev.msgId = ack.msgId;
-    pushEvent(std::move(ev));
-  }
 }
 
 void GmNic::sendAck(net::NodeId dst, std::uint64_t msgId,
@@ -239,12 +132,9 @@ void GmNic::sendAck(net::NodeId dst, std::uint64_t msgId,
   TxMsg msg;
   msg.dst = dst;
   msg.msgId = nextMsgId_++;
-  msg.wireBytes = rel_.ackBytes;
+  msg.wireBytes = link_.config().ackBytes;
   msg.control = true;
-  msg.meta = pool_.acquire();
-  msg.meta->kind = WireKind::Ack;
-  msg.meta->msgId = msgId;
-  msg.meta->ackFragIndex = fragIndex;
+  msg.meta = link_.ackPayload(msgId, fragIndex);
   ctrlQ_.push_back(std::move(msg));
   pumpTx();
 }
@@ -252,26 +142,18 @@ void GmNic::sendAck(net::NodeId dst, std::uint64_t msgId,
 void GmNic::deliver(net::Packet p) {
   const auto* wp = net::payloadAs<WirePayload>(p);
   COMB_ASSERT(wp != nullptr, "GM NIC received a non-wire packet");
-  if (reliable_) {
+  if (link_.enabled()) {
     if (wp->kind == WireKind::Ack) {
       // Acks are firmware-to-firmware and never acked themselves; a
       // corrupted ack is simply useless.
-      if (!p.corrupted) handleAck(*wp);
+      if (!p.corrupted && link_.onAck(*wp)) pushSendDone(wp->msgId);
       return;
     }
     if (p.corrupted) return;  // failed checksum: silence forces retransmit
     // Ack every healthy fragment — including duplicates, whose original
     // ack may have been the packet that was lost.
     sendAck(p.src, wp->msgId, wp->fragIndex);
-    auto& seen = rxSeen_[{p.src, wp->msgId}];
-    if (!seen.insert(wp->fragIndex).second) {
-      ++duplicatesFiltered_;
-      counters_.duplicates.add();
-      if (sim_.tracing())
-        sim_.emitTrace(sim::TraceCategory::Fault, node_, "gm:dup",
-                       static_cast<double>(wp->fragIndex));
-      return;
-    }
+    if (!link_.firstSighting(p.src, *wp, /*reackDuplicate=*/false)) return;
   }
   auto key = std::pair{p.src, wp->msgId};
   Assembly& asmRec = assembling_[key];
@@ -310,6 +192,13 @@ std::optional<GmEvent> GmNic::pop() {
   events_.pop_front();
   eventWaitLatency_.record(sim_.now() - ev.queuedAt);
   return ev;
+}
+
+void GmNic::pushSendDone(std::uint64_t msgId) {
+  GmEvent ev;
+  ev.type = GmEvent::Type::SendDone;
+  ev.msgId = msgId;
+  pushEvent(std::move(ev));
 }
 
 void GmNic::pushEvent(GmEvent ev) {

@@ -18,8 +18,8 @@
 // fragments and arms a backoff timer. Crucially the NIC *cannot*
 // retransmit on its own — GM progress is library-driven — so a timeout
 // only queues a Timeout event; the library reacts during a later MPI call
-// via planRetransmit()/executeRetransmit(), paying host CPU to re-stage
-// the data.
+// via link().plan()/executeRetransmit(), paying host CPU to re-stage the
+// data. The ack protocol itself is the shared nic::ReliableLink.
 //
 // Everything protocol-level (eager vs rendezvous, matching) lives above,
 // in transport::GmEndpoint — the NIC is a packet engine.
@@ -29,17 +29,15 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include "common/latency_recorder.hpp"
 #include "common/units.hpp"
 #include "net/fabric.hpp"
+#include "nic/reliable_link.hpp"
 #include "sim/simulator.hpp"
-#include "transport/payload_pool.hpp"
 #include "transport/reliability.hpp"
 #include "transport/wire.hpp"
 
@@ -107,34 +105,21 @@ class GmNic {
   }
 
   // --- reliability (library-facing) --------------------------------------
-  /// True when the fabric can lose packets and the ack protocol runs.
-  bool reliable() const { return reliable_; }
-
-  struct RetransmitPlan {
-    transport::WireKind kind;     ///< what the message is (cost attribution)
-    Bytes missingBytes = 0;       ///< payload bytes to re-stage
-    int retries = 0;              ///< rounds already spent
-    bool budgetExhausted = false; ///< retries >= maxRetries: abort the run
-  };
-  /// Inspect a Timeout event's message. Returns nullopt when the message
-  /// has been fully acked in the meantime (stale timeout — no-op).
-  std::optional<RetransmitPlan> planRetransmit(std::uint64_t msgId) const;
+  /// The ack/retransmit engine (enabled when the fabric can lose
+  /// packets); the library plans a Timeout event's retransmission through
+  /// link().plan().
+  const ReliableLink& link() const { return link_; }
   /// Re-enqueue the missing fragments of msgId and re-arm its timer with
   /// one more round of backoff. Library context; the caller has already
   /// charged the host CPU per its plan.
   void executeRetransmit(std::uint64_t msgId);
 
-  std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t timeoutWakeups() const { return timeoutWakeups_; }
-  std::uint64_t duplicatesFiltered() const { return duplicatesFiltered_; }
-
  private:
   struct TxMsg {
     net::NodeId dst = -1;
     std::uint64_t msgId = 0;
-    net::PayloadRef<transport::WirePayload> meta;  ///< template for frags
+    MessageMeta meta;  ///< template for frags
     Bytes wireBytes = 0;
-    std::uint32_t fragCount = 1;
     std::uint32_t nextFrag = 0;
     bool reportSendDone = false;
     bool control = false;
@@ -143,52 +128,29 @@ class GmNic {
     std::vector<std::uint32_t> fragList;
   };
 
-  /// Sender-side reliability record, one per in-flight tracked message.
-  struct Unacked {
-    net::NodeId dst = -1;
-    transport::WireKind kind = transport::WireKind::Eager;
-    Bytes wireBytes = 0;
-    std::uint32_t fragCount = 1;
-    std::vector<bool> acked;
-    std::uint32_t ackedCount = 0;
-    int retries = 0;
-    bool reportSendDone = false;
-    bool timeoutQueued = false;  ///< Timeout event awaiting the library
-    sim::EventHandle timer;
-    /// Retained metadata so missing fragments can be re-staged.
-    net::PayloadRef<transport::WirePayload> meta;
-  };
-
   void pushEvent(GmEvent ev);
+  void pushSendDone(std::uint64_t msgId);
   /// Transmit scheduler: one fragment at a time; control queue first.
   void pumpTx();
-  void injectFragment(TxMsg& msg);
-  Bytes fragPayloadBytes(Bytes wireBytes, std::uint32_t frag) const;
-  void armTimer(std::uint64_t msgId, Time at);
-  void onTimer(std::uint64_t msgId);
-  void handleAck(const transport::WirePayload& ack);
+  /// The timeout policy: GM progress is library-driven, so the NIC can
+  /// only queue a Timeout event for the library.
+  void onTimeout(std::uint64_t msgId);
+  /// Firmware ack, queued on the control lane like any control packet.
   void sendAck(net::NodeId dst, std::uint64_t msgId, std::uint32_t fragIndex);
 
   sim::Simulator& sim_;
   net::Fabric& fabric_;
   net::NodeId node_;
-  transport::ReliabilityConfig rel_;
-  bool reliable_ = false;
   /// Registry counters, cached at construction (no lookup per event).
   struct NicCounters {
     metrics::Counter& sent;
     metrics::Counter& delivered;
     metrics::Counter& fragsTx;
-    metrics::Counter& retransmits;
-    metrics::Counter& timeouts;
-    metrics::Counter& duplicates;
   } counters_;
+  ReliableLink link_;
   /// "nic.gm.n<id>.event_wait": time each event sits in the user-level
   /// queue before the library polls it.
   LatencyRecorder& eventWaitLatency_;
-  /// Fragment payloads recycle through this free list (zero steady-state
-  /// allocation on the transmit path).
-  transport::WirePayloadPool pool_;
   std::deque<GmEvent> events_;
   std::function<void()> eventHook_;
 
@@ -204,20 +166,9 @@ class GmNic {
   /// of the message lands.
   std::map<std::pair<net::NodeId, std::uint64_t>, GmEvent> pending_;
 
-  // Reliability state (used only when reliable_).
-  std::map<std::uint64_t, Unacked> unacked_;  ///< by msgId
-  /// Receive-side firmware dedup: fragments already seen (and acked) per
-  /// (source, message). Persists past delivery so late duplicates are
-  /// re-acked without re-raising events.
-  std::map<std::pair<net::NodeId, std::uint64_t>, std::set<std::uint32_t>>
-      rxSeen_;
-
   std::uint64_t nextMsgId_ = 1;
   std::uint64_t messagesSent_ = 0;
   std::uint64_t messagesDelivered_ = 0;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t timeoutWakeups_ = 0;
-  std::uint64_t duplicatesFiltered_ = 0;
 };
 
 }  // namespace comb::nic

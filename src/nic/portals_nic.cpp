@@ -25,13 +25,15 @@ PortalsNic::PortalsNic(sim::Simulator& sim, net::Fabric& fabric,
     : sim_(sim), fabric_(fabric), cpu_(cpu), node_(node), cfg_(cfg),
       counters_{nicCounter(sim, node, "messages_sent"),
                 nicCounter(sim, node, "frags_tx"),
-                nicCounter(sim, node, "frags_rx"),
-                nicCounter(sim, node, "retransmits"),
-                nicCounter(sim, node, "timeout_wakeups"),
-                nicCounter(sim, node, "duplicates_filtered")},
+                nicCounter(sim, node, "frags_rx")},
+      // NIC-resident replay: the MCP re-injects the missing fragments from
+      // its retained buffers — no interrupt, no kernel work, no host CPU.
+      // This is the structural difference from GM, where a timeout must
+      // wait for the library to poll.
+      link_(sim, fabric, node, {"ptl", "Portals"}, rel,
+            [this](std::uint64_t msgId) { link_.replay(msgId); }),
       txQueueWaitLatency_(sim.metrics().latency(
-          strFormat("nic.ptl.n%d.tx_queue_wait", node))),
-      rel_(rel), reliable_(fabric.lossy()) {
+          strFormat("nic.ptl.n%d.tx_queue_wait", node))) {
   COMB_REQUIRE(cfg.kernelCopyRate > 0.0, "kernelCopyRate must be positive");
 }
 
@@ -44,38 +46,12 @@ std::uint64_t PortalsNic::sendMessage(net::NodeId dst, WireKind kind,
   const std::uint64_t msgId = nextMsgId_++;
   ++messagesSent_;
   counters_.sent.add();
-  const Bytes mtu = fabric_.mtu();
-  const auto fragCount = static_cast<std::uint32_t>(
-      std::max<Bytes>(1, (wireBytes + mtu - 1) / mtu));
-  Unacked* u = nullptr;
-  if (reliable_) {
-    u = &unacked_[msgId];
-    u->dst = dst;
-    u->acked.assign(fragCount, false);
-  }
-  Bytes remaining = wireBytes;
-  for (std::uint32_t i = 0; i < fragCount; ++i) {
-    auto wp = pool_.acquire();
-    wp->kind = kind;
-    wp->msgId = msgId;
-    wp->fragIndex = i;
-    wp->fragCount = fragCount;
-    wp->env = env;
-    wp->msgBytes = msgBytes;
-    wp->senderHandle = senderHandle;
-    wp->recvHandle = recvHandle;
-    if (i == 0) wp->data = data;
-    const Bytes fragBytes = std::min(remaining, mtu);
-    remaining -= fragBytes;
-    if (u != nullptr) {
-      // Retain the fragment in NIC buffers for autonomous replay.
-      u->frags.push_back(wp);
-      u->fragBytes.push_back(fragBytes);
-    }
-    txQueue_.push_back(TxFrag{dst, fragBytes, std::move(wp),
-                              i + 1 == fragCount, msgId, sim_.now()});
-  }
-  COMB_ASSERT(remaining == 0, "fragmentation lost bytes");
+  auto meta = link_.describe(kind, msgId, wireBytes, env, msgBytes,
+                             std::move(data), senderHandle, recvHandle);
+  // Retained in NIC buffers for autonomous replay.
+  link_.track(dst, wireBytes, meta, /*reportDone=*/true);
+  for (std::uint32_t i = 0; i < meta->fragCount; ++i)
+    txQueue_.push_back(TxFrag{meta, dst, i, wireBytes, sim_.now()});
   pumpTx();
   return msgId;
 }
@@ -87,97 +63,33 @@ void PortalsNic::pumpTx() {
   txQueue_.pop_front();
   counters_.fragsTx.add();
   txQueueWaitLatency_.record(sim_.now() - frag.enqueuedAt);
+  const Bytes fragBytes = link_.fragBytes(frag.wireBytes, frag.index);
   sim_.emitTrace(sim::TraceCategory::NicEvent, node_, "tx-frag",
-                 static_cast<double>(frag.fragBytes));
+                 static_cast<double>(fragBytes));
   const Time service =
-      cfg_.perFragTx +
-      static_cast<Time>(frag.fragBytes) / cfg_.kernelCopyRate;
+      cfg_.perFragTx + static_cast<Time>(fragBytes) / cfg_.kernelCopyRate;
   cpu_.raiseInterrupt(service, [this, frag = std::move(frag)] {
-    fabric_.inject(node_, frag.dst, frag.fragBytes, frag.payload);
-    if (frag.lastOfMessage) {
-      if (reliable_ && unacked_.count(frag.msgId) != 0) {
-        // The ack protocol owns completion: txDone fires on full ack and
-        // the retransmission clock starts once the DMA has drained.
-        armTimer(frag.msgId);
-      } else if (txDone_) {
-        txDone_(frag.msgId);
-      }
+    link_.injectFragment(frag.meta, frag.dst, frag.wireBytes, frag.index);
+    if (frag.index + 1 == frag.meta->fragCount) {
+      // A tracked message's completion belongs to the ack protocol:
+      // txDone fires on full ack, and the retransmission clock starts
+      // once the DMA has drained.
+      const std::uint64_t msgId = frag.meta->msgId;
+      if (!link_.arm(msgId, fabric_.uplink(node_).freeAt()) && txDone_)
+        txDone_(msgId);
     }
     txBusy_ = false;
     pumpTx();
   });
 }
 
-void PortalsNic::armTimer(std::uint64_t msgId) {
-  auto it = unacked_.find(msgId);
-  if (it == unacked_.end()) return;  // fully acked already
-  Time rto = rel_.ackTimeout;
-  for (int i = 0; i < it->second.retries; ++i) rto *= rel_.backoff;
-  it->second.timer.cancel();
-  it->second.timer = sim_.scheduleAt(fabric_.uplink(node_).freeAt() + rto,
-                                     [this, msgId] { onTimer(msgId); });
-}
-
-void PortalsNic::onTimer(std::uint64_t msgId) {
-  ++timeoutWakeups_;
-  counters_.timeouts.add();
-  auto it = unacked_.find(msgId);
-  if (it == unacked_.end()) return;  // stale: fully acked meanwhile
-  Unacked& u = it->second;
-  if (u.retries >= rel_.maxRetries)
-    throw comb::Error(strFormat(
-        "Portals: retransmit budget exhausted for message %llu after %d "
-        "rounds",
-        static_cast<unsigned long long>(msgId), u.retries));
-  ++u.retries;
-  // NIC-resident replay: the MCP re-injects the missing fragments from
-  // its retained buffers — no interrupt, no kernel work, no host CPU.
-  // This is the structural difference from GM, where a timeout must wait
-  // for the library to poll.
-  std::uint64_t count = 0;
-  for (std::uint32_t i = 0; i < u.frags.size(); ++i) {
-    if (u.acked[i]) continue;
-    fabric_.inject(node_, u.dst, u.fragBytes[i], u.frags[i]);
-    ++count;
-  }
-  COMB_ASSERT(count > 0, "timeout with nothing missing");
-  retransmits_ += count;
-  counters_.retransmits.add(count);
-  if (sim_.tracing())
-    sim_.emitTrace(sim::TraceCategory::Fault, node_, "ptl:retransmit",
-                   static_cast<double>(count));
-  armTimer(msgId);
-}
-
-void PortalsNic::sendAck(net::NodeId dst, std::uint64_t msgId,
-                         std::uint32_t fragIndex) {
-  auto wp = pool_.acquire();
-  wp->kind = WireKind::Ack;
-  wp->msgId = msgId;
-  wp->ackFragIndex = fragIndex;
-  fabric_.inject(node_, dst, rel_.ackBytes, std::move(wp));
-}
-
-void PortalsNic::onAck(const WirePayload& ack) {
-  auto it = unacked_.find(ack.msgId);
-  if (it == unacked_.end()) return;  // duplicate ack after completion
-  Unacked& u = it->second;
-  if (ack.ackFragIndex >= u.acked.size() || u.acked[ack.ackFragIndex]) return;
-  u.acked[ack.ackFragIndex] = true;
-  if (++u.ackedCount < u.acked.size()) return;
-  u.timer.cancel();
-  const std::uint64_t msgId = ack.msgId;
-  unacked_.erase(it);
-  if (txDone_) txDone_(msgId);
-}
-
 void PortalsNic::deliver(net::Packet p) {
   const auto* wp = net::payloadAs<WirePayload>(p);
   COMB_ASSERT(wp != nullptr, "Portals NIC received a non-wire packet");
-  if (reliable_) {
+  if (link_.enabled()) {
     if (wp->kind == WireKind::Ack) {
       // Acks terminate in the MCP — no interrupt, no kernel work.
-      if (!p.corrupted) onAck(*wp);
+      if (!p.corrupted && link_.onAck(*wp) && txDone_) txDone_(wp->msgId);
       return;
     }
     if (p.corrupted) {
@@ -186,18 +98,9 @@ void PortalsNic::deliver(net::Packet p) {
       cpu_.raiseInterrupt(cfg_.perFragRx, [] {});
       return;
     }
-    auto& seen = rxSeen_[{p.src, wp->msgId}];
-    if (!seen.insert(wp->fragIndex).second) {
-      // Duplicate: the MCP recognises the sequence number and re-acks
-      // autonomously (the original ack may have been lost) — free.
-      ++duplicatesFiltered_;
-      counters_.duplicates.add();
-      sendAck(p.src, wp->msgId, wp->fragIndex);
-      if (sim_.tracing())
-        sim_.emitTrace(sim::TraceCategory::Fault, node_, "ptl:dup",
-                       static_cast<double>(wp->fragIndex));
-      return;
-    }
+    // A duplicate is recognised by the MCP and re-acked autonomously —
+    // free.
+    if (!link_.firstSighting(p.src, *wp, /*reackDuplicate=*/true)) return;
   }
   ++fragmentsReceived_;
   counters_.fragsRx.add();
@@ -214,10 +117,10 @@ void PortalsNic::deliver(net::Packet p) {
   cpu_.raiseInterrupt(service, [this, payload = p.payload, src = p.src] {
     const auto* frag = net::payloadAs<WirePayload>(payload);
     COMB_ASSERT(frag != nullptr, "payload type changed in flight");
-    if (reliable_) {
+    if (link_.enabled()) {
       // The fragment is safely in kernel buffers: ack it now. Sent from
       // the MCP directly, so the ack itself costs no further host CPU.
-      sendAck(src, frag->msgId, frag->fragIndex);
+      link_.sendAck(src, frag->msgId, frag->fragIndex);
     }
     if (rxHandler_) rxHandler_(*frag, src);
   });

@@ -20,18 +20,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <memory>
-#include <set>
 #include <utility>
-#include <vector>
 
 #include "common/latency_recorder.hpp"
 #include "common/units.hpp"
 #include "host/cpu.hpp"
 #include "net/fabric.hpp"
+#include "nic/reliable_link.hpp"
 #include "sim/simulator.hpp"
-#include "transport/payload_pool.hpp"
 #include "transport/reliability.hpp"
 #include "transport/wire.hpp"
 
@@ -83,45 +79,24 @@ class PortalsNic {
   std::uint64_t fragmentsReceived() const { return fragmentsReceived_; }
   const PortalsNicConfig& config() const { return cfg_; }
 
-  /// True when the fabric can lose packets and the ack protocol runs.
-  /// Unlike GM, retransmission here is fully NIC/kernel-resident: the
-  /// fragments stay in NIC buffers and a timeout replays the missing ones
-  /// autonomously, with zero host CPU and no library involvement.
-  bool reliable() const { return reliable_; }
-  std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t timeoutWakeups() const { return timeoutWakeups_; }
-  std::uint64_t duplicatesFiltered() const { return duplicatesFiltered_; }
+  /// The ack/retransmit engine. Unlike GM, retransmission here is fully
+  /// NIC/kernel-resident: a timeout replays the missing fragments from
+  /// NIC buffers autonomously, with zero host CPU and no library
+  /// involvement.
+  const ReliableLink& link() const { return link_; }
 
  private:
   struct TxFrag {
+    MessageMeta meta;
     net::NodeId dst;
-    Bytes fragBytes;
-    net::PayloadRef<transport::WirePayload> payload;
-    bool lastOfMessage;
-    std::uint64_t msgId;
+    std::uint32_t index;
+    Bytes wireBytes;
     /// When the fragment entered the kernel tx queue; the pump records
     /// the dwell time (kernel queueing is Portals' tx tail signal).
     Time enqueuedAt = 0;
   };
 
-  /// Sender-side reliability record: fragments retained in NIC buffers
-  /// for autonomous replay.
-  struct Unacked {
-    net::NodeId dst = -1;
-    std::vector<net::PayloadRef<transport::WirePayload>> frags;
-    std::vector<Bytes> fragBytes;
-    std::vector<bool> acked;
-    std::uint32_t ackedCount = 0;
-    int retries = 0;
-    sim::EventHandle timer;
-  };
-
   void pumpTx();
-  void armTimer(std::uint64_t msgId);
-  void onTimer(std::uint64_t msgId);
-  void onAck(const transport::WirePayload& ack);
-  /// MCP-generated ack: injected straight onto the wire, zero host CPU.
-  void sendAck(net::NodeId dst, std::uint64_t msgId, std::uint32_t fragIndex);
 
   sim::Simulator& sim_;
   net::Fabric& fabric_;
@@ -133,36 +108,18 @@ class PortalsNic {
     metrics::Counter& sent;
     metrics::Counter& fragsTx;
     metrics::Counter& fragsRx;
-    metrics::Counter& retransmits;
-    metrics::Counter& timeouts;
-    metrics::Counter& duplicates;
   } counters_;
+  ReliableLink link_;
   /// "nic.ptl.n<id>.tx_queue_wait": kernel tx-queue dwell per fragment.
   LatencyRecorder& txQueueWaitLatency_;
   RxHandler rxHandler_;
   TxDoneHandler txDone_;
-  /// Fragment payloads recycle through this free list (zero steady-state
-  /// allocation on the transmit path).
-  transport::WirePayloadPool pool_;
 
   std::deque<TxFrag> txQueue_;
   bool txBusy_ = false;
   std::uint64_t nextMsgId_ = 1;
   std::uint64_t messagesSent_ = 0;
   std::uint64_t fragmentsReceived_ = 0;
-
-  // Reliability state (used only when reliable_).
-  transport::ReliabilityConfig rel_;
-  bool reliable_ = false;
-  std::map<std::uint64_t, Unacked> unacked_;  ///< by msgId
-  /// Receive-side dedup in the MCP: fragments already seen (and acked)
-  /// per (source, message). Persists past delivery so late duplicates are
-  /// re-acked without re-raising interrupts.
-  std::map<std::pair<net::NodeId, std::uint64_t>, std::set<std::uint32_t>>
-      rxSeen_;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t timeoutWakeups_ = 0;
-  std::uint64_t duplicatesFiltered_ = 0;
 };
 
 }  // namespace comb::nic

@@ -1,7 +1,5 @@
 #include "nic/rdma_nic.hpp"
 
-#include <algorithm>
-
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 
@@ -24,13 +22,12 @@ RdmaNic::RdmaNic(sim::Simulator& sim, net::Fabric& fabric, net::NodeId node,
     : sim_(sim), fabric_(fabric), node_(node), cfg_(cfg),
       counters_{nicCounter(sim, node, "messages_sent"),
                 nicCounter(sim, node, "frags_tx"),
-                nicCounter(sim, node, "frags_rx"),
-                nicCounter(sim, node, "retransmits"),
-                nicCounter(sim, node, "timeout_wakeups"),
-                nicCounter(sim, node, "duplicates_filtered")},
+                nicCounter(sim, node, "frags_rx")},
+      // Hardware replay from retained NIC buffers — no host CPU at all.
+      link_(sim, fabric, node, {"rdma", "RDMA"}, rel,
+            [this](std::uint64_t msgId) { link_.replay(msgId); }),
       txQueueWaitLatency_(sim.metrics().latency(
-          strFormat("nic.rdma.n%d.tx_queue_wait", node))),
-      rel_(rel), reliable_(fabric.lossy()) {
+          strFormat("nic.rdma.n%d.tx_queue_wait", node))) {
   COMB_REQUIRE(cfg.perFragTx >= 0.0, "perFragTx must be non-negative");
 }
 
@@ -43,40 +40,14 @@ std::uint64_t RdmaNic::sendMessage(net::NodeId dst, WireKind kind,
   const std::uint64_t msgId = nextMsgId_++;
   ++messagesSent_;
   counters_.sent.add();
-  const Bytes mtu = fabric_.mtu();
-  const auto fragCount = static_cast<std::uint32_t>(
-      std::max<Bytes>(1, (wireBytes + mtu - 1) / mtu));
-  Unacked* u = nullptr;
-  if (reliable_) {
-    u = &unacked_[msgId];
-    u->dst = dst;
-    u->acked.assign(fragCount, false);
-  }
-  Bytes remaining = wireBytes;
-  for (std::uint32_t i = 0; i < fragCount; ++i) {
-    auto wp = pool_.acquire();
-    wp->kind = kind;
-    wp->msgId = msgId;
-    wp->fragIndex = i;
-    wp->fragCount = fragCount;
-    wp->env = env;
-    wp->msgBytes = msgBytes;
-    wp->senderHandle = senderHandle;
-    wp->recvHandle = recvHandle;
-    if (i == 0) wp->data = data;
-    const Bytes fragBytes = std::min(remaining, mtu);
-    remaining -= fragBytes;
-    if (u != nullptr) {
-      // Retain in NIC memory for autonomous replay.
-      u->frags.push_back(wp);
-      u->fragBytes.push_back(fragBytes);
-    }
-    auto& q = (kind == WireKind::Rts || kind == WireKind::Cts) ? ctrlQueue_
-                                                               : txQueue_;
-    q.push_back(TxFrag{dst, fragBytes, std::move(wp), i + 1 == fragCount,
-                       msgId, sim_.now()});
-  }
-  COMB_ASSERT(remaining == 0, "fragmentation lost bytes");
+  auto meta = link_.describe(kind, msgId, wireBytes, env, msgBytes,
+                             std::move(data), senderHandle, recvHandle);
+  // Retained in NIC memory for autonomous replay.
+  link_.track(dst, wireBytes, meta, /*reportDone=*/true);
+  auto& q = (kind == WireKind::Rts || kind == WireKind::Cts) ? ctrlQueue_
+                                                             : txQueue_;
+  for (std::uint32_t i = 0; i < meta->fragCount; ++i)
+    q.push_back(TxFrag{meta, dst, i, wireBytes, sim_.now()});
   pumpTx();
   return msgId;
 }
@@ -90,105 +61,43 @@ void RdmaNic::pumpTx() {
   else if (!txQueue_.empty()) q = &txQueue_;
   if (!q) return;
   txBusy_ = true;
-  TxFrag frag = std::move(q->front());
+  inFlight_ = std::move(q->front());
   q->pop_front();
   counters_.fragsTx.add();
-  txQueueWaitLatency_.record(sim_.now() - frag.enqueuedAt);
-  sim_.emitTrace(sim::TraceCategory::NicEvent, node_, "tx-frag",
-                 static_cast<double>(frag.fragBytes));
+  txQueueWaitLatency_.record(sim_.now() - inFlight_.enqueuedAt);
+  sim_.emitTrace(
+      sim::TraceCategory::NicEvent, node_, "tx-frag",
+      static_cast<double>(link_.fragBytes(inFlight_.wireBytes,
+                                          inFlight_.index)));
   // Descriptor engine, not host CPU: the fragment enters the wire after
   // the WQE-processing delay; the engine then stays busy until the uplink
   // has serialized it, so injection is paced at wire rate and a control
   // fragment waits at most one data fragment, never a whole message.
-  // Boxed: a TxFrag capture overflows the 48-byte event-closure slot.
-  sim_.schedule(
-      cfg_.perFragTx,
-      [this, frag = std::make_unique<TxFrag>(std::move(frag))] {
-        fabric_.inject(node_, frag->dst, frag->fragBytes, frag->payload);
-        if (frag->lastOfMessage) {
-          if (reliable_ && unacked_.count(frag->msgId) != 0) {
-            // The hardware ack protocol owns completion: txDone fires on
-            // full ack; the retransmission clock starts once the DMA
-            // drains.
-            armTimer(frag->msgId);
-          } else if (txDone_) {
-            txDone_(frag->msgId);
-          }
-        }
-        sim_.scheduleAt(fabric_.uplink(node_).freeAt(), [this] {
-          txBusy_ = false;
-          pumpTx();
-        });
-      });
-}
-
-void RdmaNic::armTimer(std::uint64_t msgId) {
-  auto it = unacked_.find(msgId);
-  if (it == unacked_.end()) return;  // fully acked already
-  Time rto = rel_.ackTimeout;
-  for (int i = 0; i < it->second.retries; ++i) rto *= rel_.backoff;
-  it->second.timer.cancel();
-  it->second.timer = sim_.scheduleAt(fabric_.uplink(node_).freeAt() + rto,
-                                     [this, msgId] { onTimer(msgId); });
-}
-
-void RdmaNic::onTimer(std::uint64_t msgId) {
-  ++timeoutWakeups_;
-  counters_.timeouts.add();
-  auto it = unacked_.find(msgId);
-  if (it == unacked_.end()) return;  // stale: fully acked meanwhile
-  Unacked& u = it->second;
-  if (u.retries >= rel_.maxRetries)
-    throw comb::Error(strFormat(
-        "RDMA: retransmit budget exhausted for message %llu after %d "
-        "rounds",
-        static_cast<unsigned long long>(msgId), u.retries));
-  ++u.retries;
-  // Hardware replay from retained NIC buffers — no host CPU at all.
-  std::uint64_t count = 0;
-  for (std::uint32_t i = 0; i < u.frags.size(); ++i) {
-    if (u.acked[i]) continue;
-    fabric_.inject(node_, u.dst, u.fragBytes[i], u.frags[i]);
-    ++count;
-  }
-  COMB_ASSERT(count > 0, "timeout with nothing missing");
-  retransmits_ += count;
-  counters_.retransmits.add(count);
-  if (sim_.tracing())
-    sim_.emitTrace(sim::TraceCategory::Fault, node_, "rdma:retransmit",
-                   static_cast<double>(count));
-  armTimer(msgId);
-}
-
-void RdmaNic::onAck(const WirePayload& ack) {
-  auto it = unacked_.find(ack.msgId);
-  if (it == unacked_.end()) return;  // duplicate ack after completion
-  Unacked& u = it->second;
-  if (ack.ackFragIndex >= u.acked.size() || u.acked[ack.ackFragIndex]) return;
-  u.acked[ack.ackFragIndex] = true;
-  if (++u.ackedCount < u.acked.size()) return;
-  u.timer.cancel();
-  const std::uint64_t msgId = ack.msgId;
-  unacked_.erase(it);
-  if (txDone_) txDone_(msgId);
-}
-
-void RdmaNic::sendAck(net::NodeId dst, std::uint64_t msgId,
-                      std::uint32_t fragIndex) {
-  auto wp = pool_.acquire();
-  wp->kind = WireKind::Ack;
-  wp->msgId = msgId;
-  wp->ackFragIndex = fragIndex;
-  fabric_.inject(node_, dst, rel_.ackBytes, std::move(wp));
+  sim_.schedule(cfg_.perFragTx, [this] {
+    const TxFrag& frag = inFlight_;
+    link_.injectFragment(frag.meta, frag.dst, frag.wireBytes, frag.index);
+    if (frag.index + 1 == frag.meta->fragCount) {
+      // A tracked message's completion belongs to the hardware ack
+      // protocol: txDone fires on full ack; the retransmission clock
+      // starts once the DMA drains.
+      const std::uint64_t msgId = frag.meta->msgId;
+      if (!link_.arm(msgId, fabric_.uplink(node_).freeAt()) && txDone_)
+        txDone_(msgId);
+    }
+    sim_.scheduleAt(fabric_.uplink(node_).freeAt(), [this] {
+      txBusy_ = false;
+      pumpTx();
+    });
+  });
 }
 
 void RdmaNic::deliver(net::Packet p) {
   const auto* wp = net::payloadAs<WirePayload>(p);
   COMB_ASSERT(wp != nullptr, "RDMA NIC received a non-wire packet");
-  if (reliable_) {
+  if (link_.enabled()) {
     if (wp->kind == WireKind::Ack) {
       // Acks terminate in hardware.
-      if (!p.corrupted) onAck(*wp);
+      if (!p.corrupted && link_.onAck(*wp) && txDone_) txDone_(wp->msgId);
       return;
     }
     if (p.corrupted) {
@@ -197,19 +106,10 @@ void RdmaNic::deliver(net::Packet p) {
       // timeout replays it.
       return;
     }
-    auto& seen = rxSeen_[{p.src, wp->msgId}];
-    if (!seen.insert(wp->fragIndex).second) {
-      // Duplicate: re-ack autonomously (the original ack may be lost).
-      ++duplicatesFiltered_;
-      counters_.duplicates.add();
-      sendAck(p.src, wp->msgId, wp->fragIndex);
-      if (sim_.tracing())
-        sim_.emitTrace(sim::TraceCategory::Fault, node_, "rdma:dup",
-                       static_cast<double>(wp->fragIndex));
-      return;
-    }
+    // A duplicate is re-acked autonomously (the original ack may be lost).
+    if (!link_.firstSighting(p.src, *wp, /*reackDuplicate=*/true)) return;
     // The fragment is safely in NIC/host memory: ack straight away.
-    sendAck(p.src, wp->msgId, wp->fragIndex);
+    link_.sendAck(p.src, wp->msgId, wp->fragIndex);
   }
   ++fragmentsReceived_;
   counters_.fragsRx.add();

@@ -19,16 +19,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
-#include <set>
 #include <utility>
-#include <vector>
 
 #include "common/latency_recorder.hpp"
 #include "common/units.hpp"
 #include "net/fabric.hpp"
+#include "nic/reliable_link.hpp"
 #include "sim/simulator.hpp"
-#include "transport/payload_pool.hpp"
 #include "transport/reliability.hpp"
 #include "transport/wire.hpp"
 
@@ -72,40 +69,20 @@ class RdmaNic {
   std::uint64_t fragmentsReceived() const { return fragmentsReceived_; }
   const RdmaNicConfig& config() const { return cfg_; }
 
-  /// True when the fabric can lose packets and the hardware ack protocol
-  /// runs. Retransmission is entirely NIC-resident and free of host CPU.
-  bool reliable() const { return reliable_; }
-  std::uint64_t retransmits() const { return retransmits_; }
-  std::uint64_t timeoutWakeups() const { return timeoutWakeups_; }
-  std::uint64_t duplicatesFiltered() const { return duplicatesFiltered_; }
+  /// The hardware ack/retransmit engine: retransmission is entirely
+  /// NIC-resident and free of host CPU.
+  const ReliableLink& link() const { return link_; }
 
  private:
   struct TxFrag {
-    net::NodeId dst;
-    Bytes fragBytes;
-    net::PayloadRef<transport::WirePayload> payload;
-    bool lastOfMessage;
-    std::uint64_t msgId;
+    MessageMeta meta;
+    net::NodeId dst = -1;
+    std::uint32_t index = 0;
+    Bytes wireBytes = 0;
     Time enqueuedAt = 0;  ///< descriptor-queue dwell (tx tail signal)
   };
 
-  /// Fragments retained in NIC memory for autonomous replay.
-  struct Unacked {
-    net::NodeId dst = -1;
-    std::vector<net::PayloadRef<transport::WirePayload>> frags;
-    std::vector<Bytes> fragBytes;
-    std::vector<bool> acked;
-    std::uint32_t ackedCount = 0;
-    int retries = 0;
-    sim::EventHandle timer;
-  };
-
   void pumpTx();
-  void armTimer(std::uint64_t msgId);
-  void onTimer(std::uint64_t msgId);
-  void onAck(const transport::WirePayload& ack);
-  /// Hardware-generated ack: straight onto the wire, zero host CPU.
-  void sendAck(net::NodeId dst, std::uint64_t msgId, std::uint32_t fragIndex);
 
   sim::Simulator& sim_;
   net::Fabric& fabric_;
@@ -115,37 +92,24 @@ class RdmaNic {
     metrics::Counter& sent;
     metrics::Counter& fragsTx;
     metrics::Counter& fragsRx;
-    metrics::Counter& retransmits;
-    metrics::Counter& timeouts;
-    metrics::Counter& duplicates;
   } counters_;
+  ReliableLink link_;
   /// "nic.rdma.n<id>.tx_queue_wait": descriptor-queue dwell per fragment.
   LatencyRecorder& txQueueWaitLatency_;
   RxHandler rxHandler_;
   TxDoneHandler txDone_;
-  transport::WirePayloadPool pool_;
 
   /// RTS/CTS fragments bypass queued data so the autonomous rendezvous
   /// control loop never waits behind a whole in-flight message — they
   /// wait (at most) for the fragment currently serializing.
   std::deque<TxFrag> ctrlQueue_;
   std::deque<TxFrag> txQueue_;
+  /// The fragment on the descriptor engine; txBusy_ guards it.
+  TxFrag inFlight_;
   bool txBusy_ = false;
   std::uint64_t nextMsgId_ = 1;
   std::uint64_t messagesSent_ = 0;
   std::uint64_t fragmentsReceived_ = 0;
-
-  // Reliability state (used only when reliable_).
-  transport::ReliabilityConfig rel_;
-  bool reliable_ = false;
-  std::map<std::uint64_t, Unacked> unacked_;  ///< by msgId
-  /// Receive-side hardware dedup: fragments already seen (and acked) per
-  /// (source, message); late duplicates are re-acked for free.
-  std::map<std::pair<net::NodeId, std::uint64_t>, std::set<std::uint32_t>>
-      rxSeen_;
-  std::uint64_t retransmits_ = 0;
-  std::uint64_t timeoutWakeups_ = 0;
-  std::uint64_t duplicatesFiltered_ = 0;
 };
 
 }  // namespace comb::nic

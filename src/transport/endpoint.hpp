@@ -25,6 +25,10 @@
 #include "sim/task.hpp"
 #include "transport/data.hpp"
 
+namespace comb::nic {
+class ReliableLink;
+}
+
 namespace comb::transport {
 
 /// A send posted by the MPI layer. `handle` is MPI-layer-chosen and echoed
@@ -85,6 +89,12 @@ class Endpoint {
   virtual Time libCallCost() const = 0;
 
   virtual net::NodeId nodeId() const = 0;
+
+  /// Packet entry point: hands a fabric packet to this endpoint's NIC.
+  virtual void deliver(net::Packet p) = 0;
+
+  /// The NIC's ack/retransmit engine (read-only: counters, state).
+  virtual const nic::ReliableLink& link() const = 0;
 
   /// Versioned "protocol activity happened" signal (NIC event queued,
   /// completion flagged). MPI blocking waits re-check their predicate

@@ -1,7 +1,6 @@
 #include "transport/gm.hpp"
 
 #include "common/error.hpp"
-#include "common/string_util.hpp"
 
 namespace comb::transport {
 
@@ -27,7 +26,7 @@ sim::Task<void> GmEndpoint::postSend(TxReq req) {
                           copyTimeAt(cfg_.eagerTxCopyRate, req.bytes));
     // On a lossy fabric the send buffer must stay pinned until every
     // fragment is acked, so completion is gated on the NIC's SendDone.
-    const bool ackGated = nic_.reliable();
+    const bool ackGated = nic_.link().enabled();
     const std::uint64_t msgId = nic_.sendMessage(
         req.dstNode, WireKind::Eager, req.env, req.bytes, req.bytes,
         req.data, req.handle, 0, /*reportSendDone=*/ackGated, seq);
@@ -105,18 +104,16 @@ sim::Task<void> GmEndpoint::handleEvent(nic::GmEvent ev) {
     // missing fragments here, on the host CPU. Eager payloads must be
     // re-copied into NIC send buffers; rendezvous data re-DMAs from the
     // (still pinned) user buffer for just the descriptor cost.
-    auto plan = nic_.planRetransmit(ev.msgId);
+    // plan() checks the retry budget (throwing once it is spent) before
+    // any CPU is charged.
+    auto plan = nic_.link().plan(ev.msgId);
     if (!plan) co_return;  // fully acked while the event sat in the queue
-    if (plan->budgetExhausted)
-      throw Error(strFormat(
-          "GM: retransmit budget exhausted for message %llu after %d rounds",
-          static_cast<unsigned long long>(ev.msgId), plan->retries));
     Time cost = cfg_.ctrlHandleCost;
     if (plan->kind == WireKind::Eager)
       cost += copyTimeAt(cfg_.eagerTxCopyRate, plan->missingBytes);
     co_await chargeProgress(cost);
     // Acks may have landed while we were re-staging.
-    if (!nic_.planRetransmit(ev.msgId)) co_return;
+    if (!nic_.link().plan(ev.msgId)) co_return;
     nic_.executeRetransmit(ev.msgId);
     co_return;
   }

@@ -76,6 +76,8 @@ class GmEndpoint : public Endpoint {
   bool applicationOffload() const override { return false; }
   Time libCallCost() const override { return cfg_.libCallCost; }
   net::NodeId nodeId() const override { return node_; }
+  void deliver(net::Packet p) override { nic_.deliver(std::move(p)); }
+  const nic::ReliableLink& link() const override { return nic_.link(); }
 
   nic::GmNic& nic() { return nic_; }
   const nic::GmNic& nic() const { return nic_; }

@@ -67,6 +67,8 @@ class PortalsEndpoint final : public Endpoint {
   bool applicationOffload() const override { return true; }
   Time libCallCost() const override { return cfg_.libCallCost; }
   net::NodeId nodeId() const override { return node_; }
+  void deliver(net::Packet p) override { nic_.deliver(std::move(p)); }
+  const nic::ReliableLink& link() const override { return nic_.link(); }
 
   nic::PortalsNic& nic() { return nic_; }
   const nic::PortalsNic& nic() const { return nic_; }

@@ -72,6 +72,8 @@ class RdmaEndpoint final : public Endpoint {
   bool applicationOffload() const override { return true; }
   Time libCallCost() const override { return cfg_.libCallCost; }
   net::NodeId nodeId() const override { return node_; }
+  void deliver(net::Packet p) override { nic_.deliver(std::move(p)); }
+  const nic::ReliableLink& link() const override { return nic_.link(); }
 
   nic::RdmaNic& nic() { return nic_; }
   const nic::RdmaNic& nic() const { return nic_; }

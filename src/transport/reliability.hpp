@@ -1,20 +1,23 @@
-// Timeout/retransmit protocol parameters shared by both NIC stacks.
+// Timeout/retransmit protocol parameters, shared by the three NIC models
+// (GM, Portals, RDMA; the progress-thread stack runs the GM NIC) and
+// consumed by their common engine, nic::ReliableLink.
 //
 // On a lossy fabric (FaultSpec with dropProb or corruptProb > 0) every
 // non-Ack fragment must be acknowledged by the receiving NIC. The sender
 // keeps per-message state: which fragments are still unacked, how many
 // retransmission rounds have been spent, and a timer that fires after
 // `ackTimeout * backoff^retries`. What happens on a timeout differs per
-// stack — that is the point of the extension:
+// stack — that is the point of the extension, and the engine's only
+// per-stack hook:
 //
 //  * GM (OS-bypass, library-driven progress): the NIC can only queue a
 //    Timeout event; the *library* notices it during some later MPI call,
 //    pays host CPU to re-stage the missing fragments (eager messages are
 //    re-copied into NIC send buffers) and restarts the DMA. Retransmit
 //    latency is bounded below by the application's polling interval.
-//  * Portals (NIC/kernel-resident progress): the packet engine retains
-//    the fragments in NIC buffers and replays the missing ones
-//    autonomously — no host CPU, no waiting for a library call.
+//  * Portals (NIC/kernel-resident progress) and RDMA (hardware offload):
+//    the NIC retains each message's metadata and replays the missing
+//    fragments autonomously — no host CPU, no waiting for a library call.
 //
 // On a lossless fabric (the default) none of this machinery engages and
 // event timings are bit-identical to builds without it.

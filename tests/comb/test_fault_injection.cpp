@@ -4,6 +4,8 @@
 // enforced, and a lossless fabric pays nothing for any of it.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <vector>
 
 #include "backend/machine.hpp"
@@ -25,8 +27,9 @@ backend::MachineConfig faulty(backend::MachineConfig m,
   return m;
 }
 
-std::vector<backend::MachineConfig> bothStacks() {
-  return {backend::gmMachine(), backend::portalsMachine()};
+std::vector<backend::MachineConfig> allStacks() {
+  return {backend::gmMachine(), backend::portalsMachine(),
+          backend::progressThreadMachine(), backend::rdmaMachine()};
 }
 
 sim::Task<void> sendMany(backend::SimProc& p, int count, Bytes size) {
@@ -40,7 +43,7 @@ sim::Task<void> recvMany(backend::SimProc& p, int count, Bytes size) {
 }
 
 TEST(FaultInjection, ExactlyOnceDeliveryUnderDrop) {
-  for (const auto& machine : bothStacks()) {
+  for (const auto& machine : allStacks()) {
     SCOPED_TRACE(machine.name);
     backend::SimCluster cluster(faulty(machine, "drop=0.05,burst=2,seed=3"),
                                 2);
@@ -61,7 +64,7 @@ TEST(FaultInjection, ExactlyOnceDeliveryUnderDrop) {
 }
 
 TEST(FaultInjection, CorruptionIsRecoveredToo) {
-  for (const auto& machine : bothStacks()) {
+  for (const auto& machine : allStacks()) {
     SCOPED_TRACE(machine.name);
     backend::SimCluster cluster(faulty(machine, "corrupt=0.05,seed=9"), 2);
     const int count = 10;
@@ -93,7 +96,7 @@ void expectSamePoint(const PollingPoint& a, const PollingPoint& b) {
 }
 
 TEST(FaultInjection, SameSeedIsBitIdenticalDifferentSeedIsNot) {
-  for (const auto& machine : bothStacks()) {
+  for (const auto& machine : allStacks()) {
     SCOPED_TRACE(machine.name);
     RunOptions opts;
     opts.fault = net::parseFaultSpec("drop=0.03,seed=5");
@@ -115,7 +118,7 @@ TEST(FaultInjection, ParallelSweepBitIdenticalUnderLoss) {
   const auto spec =
       sweepOver(quickBase(), std::vector<std::uint64_t>{10'000, 30'000,
                                                         100'000});
-  for (const auto& machine : bothStacks()) {
+  for (const auto& machine : allStacks()) {
     SCOPED_TRACE(machine.name);
     RunOptions serial;
     serial.jobs = 1;
@@ -133,7 +136,7 @@ TEST(FaultInjection, ParallelSweepBitIdenticalUnderLoss) {
 }
 
 TEST(FaultInjection, LosslessFabricIsUntouchedByTheMachinery) {
-  for (const auto& machine : bothStacks()) {
+  for (const auto& machine : allStacks()) {
     SCOPED_TRACE(machine.name);
     const auto plain = runPollingPoint(machine, quickBase());
     // An inactive FaultSpec — even with a different seed — must leave the
@@ -148,15 +151,33 @@ TEST(FaultInjection, LosslessFabricIsUntouchedByTheMachinery) {
 }
 
 TEST(FaultInjection, RetryBudgetExhaustionThrows) {
-  for (auto machine : bothStacks()) {
+  // The error names the NIC stack whose budget ran out; progress_thread
+  // runs the GM library protocol over the GM NIC.
+  const std::map<std::string, std::string> stackName = {
+      {"gm", "GM: "},
+      {"portals", "Portals: "},
+      {"progress_thread", "GM: "},
+      {"rdma", "RDMA: "}};
+  for (auto machine : allStacks()) {
     SCOPED_TRACE(machine.name);
     machine.fabric.link.fault = net::parseFaultSpec("drop=1,seed=1");
     machine.gm.rel.maxRetries = 2;
     machine.portals.rel.maxRetries = 2;
+    machine.progress.proto.rel.maxRetries = 2;
+    machine.rdma.rel.maxRetries = 2;
     backend::SimCluster cluster(machine, 2);
     cluster.launch(0, sendMany(cluster.proc(0), 1, 10_KB));
     cluster.launch(1, recvMany(cluster.proc(1), 1, 10_KB));
-    EXPECT_THROW(cluster.run(), Error);
+    try {
+      cluster.run();
+      ADD_FAILURE() << "run finished despite an exhausted retry budget";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind(stackName.at(machine.name), 0), 0u) << what;
+      EXPECT_NE(what.find("retransmit budget exhausted"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("after 2 rounds"), std::string::npos) << what;
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include "comb/presets.hpp"
 #include "comb/runner.hpp"
 #include "common/units.hpp"
+#include "net/fault.hpp"
 
 namespace comb::bench {
 namespace {
@@ -66,6 +67,54 @@ TEST(Goldens, Latency10Kb) {
               0.0002355147619 * kRel);
   EXPECT_NEAR(ptl.halfRoundTripAvg, 0.0003299380952,
               0.0003299380952 * kRel);
+}
+
+// Lossy goldens: the only in-tree pins on the retransmission timeline.
+// One 100 KB polling point per stack under a bursty 2% drop stream; the
+// fault counters are exact, the reduced figures exact up to kRel.
+struct LossyGolden {
+  double bandwidthBps;
+  double availability;
+  std::uint64_t messagesReceived;
+  net::FaultCounters fault;
+};
+
+void expectLossyGolden(const backend::MachineConfig& machine,
+                       const LossyGolden& want) {
+  auto p = presets::pollingBase(100_KB);
+  p.pollInterval = 10'000;
+  RunOptions opts;
+  opts.fault = net::parseFaultSpec("drop=0.02,burst=2,seed=3");
+  const auto pt = runPollingPoint(machine, p, opts);
+  EXPECT_NEAR(pt.bandwidthBps, want.bandwidthBps, want.bandwidthBps * kRel);
+  EXPECT_NEAR(pt.availability, want.availability, want.availability * kRel);
+  EXPECT_EQ(pt.messagesReceived, want.messagesReceived);
+  EXPECT_EQ(pt.fault.dropsInjected, want.fault.dropsInjected);
+  EXPECT_EQ(pt.fault.corruptsInjected, want.fault.corruptsInjected);
+  EXPECT_EQ(pt.fault.retransmits, want.fault.retransmits);
+  EXPECT_EQ(pt.fault.timeoutWakeups, want.fault.timeoutWakeups);
+  EXPECT_EQ(pt.fault.duplicatesFiltered, want.fault.duplicatesFiltered);
+}
+
+TEST(Goldens, LossyPollingGm100Kb) {
+  expectLossyGolden(backend::gmMachine(),
+                    {55808186.61, 0.9741907575, 16, {170, 0, 170, 65, 83}});
+}
+
+TEST(Goldens, LossyPollingPortals100Kb) {
+  expectLossyGolden(
+      backend::portalsMachine(),
+      {56831218.52, 0.07387851899, 215, {1906, 0, 1933, 607, 933}});
+}
+
+TEST(Goldens, LossyPollingProgressThread100Kb) {
+  expectLossyGolden(backend::progressThreadMachine(),
+                    {55972150.58, 0.9770529214, 16, {170, 0, 170, 62, 82}});
+}
+
+TEST(Goldens, LossyPollingRdma100Kb) {
+  expectLossyGolden(backend::rdmaMachine(),
+                    {67034178.61, 0.9853914002, 19, {188, 0, 188, 73, 99}});
 }
 
 }  // namespace

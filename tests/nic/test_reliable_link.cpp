@@ -1,0 +1,228 @@
+// ReliableLink unit tests: the ack/retransmit/dedup engine shared by the
+// NIC models, driven directly — backoff schedule, ack bookkeeping,
+// receive-side dedup, the retry budget, and the lossless no-op.
+#include "nic/reliable_link.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "common/error.hpp"
+#include "common/units.hpp"
+#include "net/fabric.hpp"
+#include "net/fault.hpp"
+
+namespace comb::nic {
+namespace {
+
+using namespace comb::units;
+using transport::WireKind;
+using transport::WirePayload;
+
+// Three fragments at the 4096-byte MTU: 4096 + 4096 + 1808.
+constexpr Bytes kMsgBytes = 10'000;
+
+net::FabricConfig fabricConfig(const std::string& fault) {
+  net::FabricConfig cfg;
+  cfg.link.rate = 100e6;
+  cfg.link.latency = 1_us;
+  if (!fault.empty()) cfg.link.fault = net::parseFaultSpec(fault);
+  return cfg;
+}
+
+// Node 0 owns the link under test; node 1 only collects what reaches it.
+struct Fixture {
+  sim::Simulator sim;
+  net::Fabric fabric;
+  std::vector<net::Packet> at1;
+  net::NodeId n0;
+  net::NodeId n1;
+  std::function<void(std::uint64_t)> hook = [](std::uint64_t) {};
+  ReliableLink link;
+
+  explicit Fixture(const std::string& fault,
+                   transport::ReliabilityConfig rel = {})
+      : fabric(sim, fabricConfig(fault)),
+        n0(fabric.addNode([](net::Packet) {})),
+        n1(fabric.addNode([this](net::Packet p) { at1.push_back(p); })),
+        link(sim, fabric, n0, {"test", "Test"}, rel,
+             [this](std::uint64_t msgId) { hook(msgId); }) {}
+
+  /// Track a kMsgBytes message to node 1 carrying a data buffer.
+  MessageMeta track(std::uint64_t msgId, bool reportDone = true) {
+    auto data = std::make_shared<const std::vector<std::byte>>(8);
+    auto meta = link.describe(WireKind::Eager, msgId, kMsgBytes,
+                              mpi::Envelope{0, 0, 1}, kMsgBytes,
+                              std::move(data), 0, 0);
+    link.track(n1, kMsgBytes, meta, reportDone);
+    return meta;
+  }
+
+  bool ack(std::uint64_t msgId, std::uint32_t frag) {
+    return link.onAck(*link.ackPayload(msgId, frag));
+  }
+};
+
+WirePayload fragment(std::uint64_t msgId, std::uint32_t index) {
+  WirePayload wp;
+  wp.msgId = msgId;
+  wp.fragIndex = index;
+  wp.fragCount = 2;
+  return wp;
+}
+
+TEST(ReliableLink, FragmentsAreClonesOfTheMetadata) {
+  Fixture f("");
+  const MessageMeta meta = f.track(1);
+  ASSERT_EQ(meta->fragCount, 3u);
+  for (std::uint32_t i = 0; i < meta->fragCount; ++i)
+    f.link.injectFragment(meta, f.n1, kMsgBytes, i);
+  f.sim.run();
+  ASSERT_EQ(f.at1.size(), 3u);
+  const Bytes header = f.fabric.perPacketHeader();
+  const Bytes expectBytes[] = {4096, 4096, 1808};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(i);
+    const auto* wp = net::payloadAs<WirePayload>(f.at1[i]);
+    ASSERT_NE(wp, nullptr);
+    EXPECT_EQ(wp->fragIndex, i);
+    EXPECT_EQ(wp->msgId, 1u);
+    EXPECT_EQ(f.at1[i].wireBytes, expectBytes[i] + header);
+    EXPECT_EQ(f.link.fragBytes(kMsgBytes, i), expectBytes[i]);
+    // The whole buffer rides fragment 0 only.
+    EXPECT_EQ(wp->data != nullptr, i == 0);
+  }
+}
+
+TEST(ReliableLink, TimerBackoffIsTheRepeatedMultiplySchedule) {
+  transport::ReliabilityConfig rel;
+  // Chosen so that an rto built with std::pow differs from the repeated
+  // multiply in the last bit (rounds 2 and 3), which moves the round-2
+  // firing time.
+  rel.ackTimeout = 1.3e-3;
+  rel.backoff = 1.9;
+  Fixture f("drop=0.5,seed=1", rel);
+  f.track(1);
+  std::vector<Time> fired;
+  f.hook = [&f, &fired](std::uint64_t msgId) {
+    fired.push_back(f.sim.now());
+    if (fired.size() == 4) return;  // the first firing plus 3 backoffs
+    f.link.beginRound(msgId);
+    ASSERT_TRUE(f.link.arm(msgId, f.sim.now()));
+  };
+  const Time base = 0.25e-3;
+  ASSERT_TRUE(f.link.arm(1, base));
+  f.sim.run();
+
+  std::vector<Time> want;
+  Time at = base;
+  for (int round = 0; round < 4; ++round) {
+    Time rto = rel.ackTimeout;
+    for (int i = 0; i < round; ++i) rto *= rel.backoff;
+    at += rto;
+    want.push_back(at);
+  }
+  ASSERT_EQ(fired.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(fired[i], want[i]);
+  EXPECT_EQ(f.link.timeoutWakeups(), 4u);
+}
+
+TEST(ReliableLink, StaleDuplicateAndOutOfRangeAcksAreIgnored) {
+  Fixture f("drop=0.5,seed=1");
+  int timeouts = 0;
+  f.hook = [&timeouts](std::uint64_t) { ++timeouts; };
+  f.track(1);
+  ASSERT_TRUE(f.link.arm(1, 0.0));
+
+  EXPECT_FALSE(f.ack(1, 0));
+  EXPECT_FALSE(f.ack(1, 0));   // duplicate
+  EXPECT_FALSE(f.ack(1, 3));   // out of range
+  EXPECT_FALSE(f.ack(99, 0));  // never tracked
+  EXPECT_FALSE(f.ack(1, 1));
+  const auto plan = f.link.plan(1);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->kind, WireKind::Eager);
+  EXPECT_EQ(plan->missingBytes, 1808u);
+
+  EXPECT_TRUE(f.ack(1, 2));   // completion, reported once
+  EXPECT_FALSE(f.ack(1, 2));  // stale
+  EXPECT_FALSE(f.ack(1, 0));
+  EXPECT_FALSE(f.link.plan(1).has_value());
+  EXPECT_FALSE(f.link.arm(1, 0.0));
+
+  // A message tracked without reportDone completes silently.
+  f.track(2, /*reportDone=*/false);
+  for (std::uint32_t i = 0; i < 3; ++i) EXPECT_FALSE(f.ack(2, i));
+  EXPECT_FALSE(f.link.plan(2).has_value());
+
+  f.sim.run();  // completion cancelled the armed timer
+  EXPECT_EQ(timeouts, 0);
+  EXPECT_EQ(f.link.timeoutWakeups(), 0u);
+}
+
+TEST(ReliableLink, DuplicateIsCaughtAfterItsMessageCompleted) {
+  Fixture f("drop=0.000001,seed=1");
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(7, 0), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(7, 1), false));
+  // Message 7 is complete; its fragments are remembered regardless.
+  EXPECT_FALSE(f.link.firstSighting(f.n1, fragment(7, 0), false));
+  EXPECT_EQ(f.link.duplicatesFiltered(), 1u);
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(8, 0), false));
+  f.sim.run();
+  EXPECT_TRUE(f.at1.empty());  // no re-ack asked for
+
+  EXPECT_FALSE(f.link.firstSighting(f.n1, fragment(7, 1), true));
+  EXPECT_EQ(f.link.duplicatesFiltered(), 2u);
+  f.sim.run();
+  ASSERT_EQ(f.at1.size(), 1u);
+  const auto* ack = net::payloadAs<WirePayload>(f.at1[0]);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(ack->kind, WireKind::Ack);
+  EXPECT_EQ(ack->msgId, 7u);
+  EXPECT_EQ(ack->ackFragIndex, 1u);
+}
+
+TEST(ReliableLink, ReplayThrowsOnceTheBudgetIsSpent) {
+  transport::ReliabilityConfig rel;
+  rel.maxRetries = 2;
+  Fixture f("drop=1,seed=1", rel);
+  f.hook = [&f](std::uint64_t msgId) { f.link.replay(msgId); };
+  const MessageMeta meta = f.track(1);
+  for (std::uint32_t i = 0; i < meta->fragCount; ++i)
+    f.link.injectFragment(meta, f.n1, kMsgBytes, i);
+  ASSERT_TRUE(f.link.arm(1, f.fabric.uplink(f.n0).freeAt()));
+  try {
+    f.sim.run();
+    ADD_FAILURE() << "run finished despite an exhausted retry budget";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "Test: retransmit budget exhausted for message 1 after 2 "
+                 "rounds");
+  }
+  EXPECT_EQ(f.link.retransmits(), 6u);  // 2 rounds of all 3 fragments
+  EXPECT_EQ(f.link.timeoutWakeups(), 3u);
+  EXPECT_TRUE(f.at1.empty());
+  EXPECT_THROW(f.link.plan(1), Error);
+  EXPECT_THROW(f.link.beginRound(1), Error);
+}
+
+TEST(ReliableLink, DisabledLinkSchedulesNothing) {
+  Fixture f("");
+  EXPECT_FALSE(f.link.enabled());
+  const std::uint64_t scheduled = f.sim.eventsScheduled();
+  f.track(1);
+  EXPECT_FALSE(f.link.arm(1, 0.0));
+  EXPECT_FALSE(f.link.plan(1).has_value());
+  EXPECT_FALSE(f.ack(1, 0));
+  EXPECT_EQ(f.sim.eventsScheduled(), scheduled);
+  f.sim.run();
+  EXPECT_EQ(f.link.timeoutWakeups(), 0u);
+  EXPECT_EQ(f.link.retransmits(), 0u);
+}
+
+}  // namespace
+}  // namespace comb::nic
