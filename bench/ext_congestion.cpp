@@ -34,6 +34,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "backend/stacks.hpp"
+
 using namespace comb;
 using namespace comb::bench;
 using namespace comb::units;
@@ -42,8 +44,8 @@ namespace {
 
 backend::MachineConfig congestedFatTree(backend::TransportKind kind,
                                         net::Backpressure bp) {
-  auto m = kind == backend::TransportKind::Gm ? backend::gmMachine()
-                                              : backend::portalsMachine();
+  const backend::StackRow& stack = backend::stackRow(kind);
+  auto m = stack.presets.front().make();
   // 8 nodes + 4 spines per leaf: 2*8 + 2*4 = 24 unidirectional ports.
   m.fabric.sw.ports = 24;
   m.fabric.topo.kind = net::TopologyKind::FatTree;
@@ -54,8 +56,7 @@ backend::MachineConfig congestedFatTree(backend::TransportKind kind,
   // For the tail-drop side sweep: sustained incast makes drops the common
   // case, not the exception — the default retry budget (sized for
   // lossy-link fault injection) starves.
-  m.gm.rel.maxRetries = 64;
-  m.portals.rel.maxRetries = 64;
+  stack.rel(m).maxRetries = 64;
   return m;
 }
 
@@ -83,9 +84,10 @@ std::uint64_t expectedDeliveries(const CongestionParams& p) {
   return total;
 }
 
-const char* stackName(backend::TransportKind k) {
-  return k == backend::TransportKind::Gm ? "GM" : "Portals";
-}
+/// GM first: the deformation ratio below is GM's aggregate over Portals'.
+constexpr std::pair<backend::TransportKind, const char*> kContenders[] = {
+    {backend::TransportKind::Gm, "GM"},
+    {backend::TransportKind::Portals, "Portals"}};
 
 void printPoint(const std::string& label, std::uint64_t n,
                 const CongestionPoint& pt) {
@@ -137,15 +139,15 @@ int main(int argc, char** argv) {
   // the largest node count.
   std::vector<double> ratioAtMax(patterns.size(), 0.0);
 
-  for (const auto kind :
-       {backend::TransportKind::Gm, backend::TransportKind::Portals}) {
+  for (std::size_t si = 0; si < std::size(kContenders); ++si) {
+    const auto& [kind, stackLabel] = kContenders[si];
     const auto machine = congestedFatTree(kind, net::Backpressure::Credit);
     for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
       const auto pattern = patterns[pi];
       const auto runs = runCongestionSweepReps(
           machine, sweepOver(baseParams(pattern), nodes), args.runOptions());
       const auto points = canonicalPoints(runs);
-      const std::string label = std::string(stackName(kind)) + " " +
+      const std::string label = std::string(stackLabel) + " " +
                                 congestionPatternName(pattern);
       archive.addCongestion("congestion/" + label, machine, nodes, runs);
 
@@ -174,10 +176,10 @@ int main(int argc, char** argv) {
       if (pattern == CongestionPattern::Incast) {
         checks.push_back(report::checkNearlyMonotone(
             std::string("incast per-sender goodput falls with fan-in (") +
-                stackName(kind) + ")",
+                stackLabel + ")",
             perSender, false, 0.0));
       }
-      if (kind == backend::TransportKind::Gm)
+      if (si == 0)
         ratioAtMax[pi] = points.back().bandwidthBps;
       else if (points.back().bandwidthBps > 0)
         ratioAtMax[pi] /= points.back().bandwidthBps;

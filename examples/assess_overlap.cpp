@@ -9,10 +9,11 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "backend/machine.hpp"
+#include "backend/stacks.hpp"
 #include "comb/presets.hpp"
 #include "comb/runner.hpp"
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
@@ -22,13 +23,17 @@ using namespace comb::units;
 
 int main(int argc, char** argv) {
   ArgParser args("assess_overlap", "COMB overlap assessment of one machine");
-  args.addOption("machine", "gm | portals", "gm");
+  args.addOption("machine", backend::presetNames(), "gm");
   args.addOption("size", "message size in KB", "100");
   if (!args.parse(argc, argv)) return 0;
 
-  const auto machine = args.str("machine") == "portals"
-                           ? backend::portalsMachine()
-                           : backend::gmMachine();
+  backend::MachineConfig machine;
+  try {
+    machine = backend::presetMachine(args.str("machine"));
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "assess_overlap: %s\n", e.what());
+    return 2;
+  }
   const Bytes msgBytes = static_cast<Bytes>(args.integer("size")) * 1024;
 
   std::printf("=== COMB assessment: machine '%s', %s messages ===\n\n",

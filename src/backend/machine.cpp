@@ -2,21 +2,12 @@
 
 #include <sstream>
 
+#include "backend/stacks.hpp"
 #include "common/string_util.hpp"
 
 namespace comb::backend {
 
 using namespace comb::units;
-
-const char* transportKindName(TransportKind k) {
-  switch (k) {
-    case TransportKind::Gm: return "gm";
-    case TransportKind::Portals: return "portals";
-    case TransportKind::ProgressThread: return "progress_thread";
-    case TransportKind::Rdma: return "rdma";
-  }
-  return "?";
-}
 
 namespace {
 
@@ -35,6 +26,15 @@ net::FabricConfig paperFabric() {
   f.mtu = 4096;                 // GM fragment size
   f.perPacketHeader = 64;
   return f;
+}
+
+/// The paper's substrate under one stack with the stack's defaults.
+MachineConfig paperMachine(const char* name, TransportKind kind) {
+  MachineConfig m;
+  m.name = name;
+  m.kind = kind;
+  m.fabric = paperFabric();
+  return m;
 }
 
 }  // namespace
@@ -88,59 +88,11 @@ std::string machineSignature(const MachineConfig& m) {
     os << "noise.seed=" << m.noise.seed << '\n';
   }
 
-  const auto relFields = [&](const char* prefix,
-                             const transport::ReliabilityConfig& rel) {
-    os << prefix << ".ack_bytes=" << rel.ackBytes << '\n';
-    os << prefix << ".max_retries=" << rel.maxRetries << '\n';
-    field((std::string(prefix) + ".ack_timeout").c_str(), rel.ackTimeout);
-    field((std::string(prefix) + ".backoff").c_str(), rel.backoff);
-  };
-  const auto gmFields = [&](const std::string& p,
-                            const transport::GmConfig& g) {
-    os << p << ".eager_threshold=" << g.eagerThreshold << '\n';
-    field((p + ".post_overhead").c_str(), g.postOverhead);
-    field((p + ".eager_tx_copy_rate").c_str(), g.eagerTxCopyRate);
-    field((p + ".eager_rx_copy_rate").c_str(), g.eagerRxCopyRate);
-    field((p + ".lib_call_cost").c_str(), g.libCallCost);
-    field((p + ".ctrl_handle_cost").c_str(), g.ctrlHandleCost);
-    os << p << ".ctrl_bytes=" << g.ctrlBytes << '\n';
-    relFields((p + ".rel").c_str(), g.rel);
-  };
-  switch (m.kind) {
-    case TransportKind::Gm:
-      gmFields("gm", m.gm);
-      break;
-    case TransportKind::Portals:
-      field("portals.post_syscall", m.portals.postSyscall);
-      field("portals.post_kernel", m.portals.postKernel);
-      field("portals.lib_call_cost", m.portals.libCallCost);
-      field("portals.unexpected_copy_rate", m.portals.unexpectedCopyRate);
-      field("portals.per_frag_tx", m.portals.nic.perFragTx);
-      field("portals.per_frag_rx", m.portals.nic.perFragRx);
-      field("portals.kernel_copy_rate", m.portals.nic.kernelCopyRate);
-      relFields("portals.rel", m.portals.rel);
-      break;
-    case TransportKind::ProgressThread:
-      gmFields("progress", m.progress.proto);
-      os << "progress.placement="
-         << (m.progress.dedicatedCore ? "dedicated" : "oversubscribed")
-         << '\n';
-      field("progress.poll_period", m.progress.pollPeriod);
-      field("progress.wakeup_latency", m.progress.wakeupLatency);
-      field("progress.poll_cost", m.progress.pollCost);
-      field("progress.handoff_penalty", m.progress.handoffPenalty);
-      break;
-    case TransportKind::Rdma:
-      os << "rdma.eager_threshold=" << m.rdma.eagerThreshold << '\n';
-      field("rdma.post_overhead", m.rdma.postOverhead);
-      field("rdma.lib_call_cost", m.rdma.libCallCost);
-      field("rdma.match_delay", m.rdma.matchDelay);
-      field("rdma.unexpected_copy_rate", m.rdma.unexpectedCopyRate);
-      os << "rdma.ctrl_bytes=" << m.rdma.ctrlBytes << '\n';
-      field("rdma.per_frag_tx", m.rdma.nic.perFragTx);
-      relFields("rdma.rel", m.rdma.rel);
-      break;
-  }
+  // The active stack's fields, in its field walk's order.
+  const StackRow& stack = stackRow(m.kind);
+  MachineConfig walked = m;  // the walk hands out mutable pointers
+  for (const StackField& sf : stack.fields(walked))
+    os << stack.section << '.' << sf.sigKey << '=' << sf.text() << '\n';
   return os.str();
 }
 
@@ -154,59 +106,26 @@ std::string machineHash(const MachineConfig& m) {
   return strFormat("%016llx", static_cast<unsigned long long>(h));
 }
 
-MachineConfig gmMachine() {
-  MachineConfig m;
-  m.name = "gm";
-  m.kind = TransportKind::Gm;
-  m.fabric = paperFabric();
-  m.gm = transport::GmConfig{};  // defaults documented in gm.hpp
-  m.secondsPerWorkIter = 4e-9;
-  return m;
-}
+MachineConfig gmMachine() { return paperMachine("gm", TransportKind::Gm); }
 
 MachineConfig portalsMachine() {
-  MachineConfig m;
-  m.name = "portals";
-  m.kind = TransportKind::Portals;
-  m.fabric = paperFabric();
-  m.portals = transport::PortalsConfig{};  // defaults in portals.hpp
-  m.secondsPerWorkIter = 4e-9;
-  return m;
+  return paperMachine("portals", TransportKind::Portals);
 }
 
 MachineConfig progressThreadMachine() {
-  MachineConfig m;
-  m.name = "progress_thread";
-  m.kind = TransportKind::ProgressThread;
-  m.fabric = paperFabric();
-  m.progress = transport::ProgressThreadConfig{};  // defaults in header
-  // The engine needs a core of its own: a second CPU per node, with the
-  // NIC-servicing slot (here, the engine) on CPU 1.
-  m.cpusPerNode = 2;
-  m.nicCpu = 1;
-  m.secondsPerWorkIter = 4e-9;
+  auto m = paperMachine("progress_thread", TransportKind::ProgressThread);
+  stackRow(m.kind).place(m);  // the engine's own core: CPU 1 of 2
   return m;
 }
 
 MachineConfig progressOversubMachine() {
-  MachineConfig m;
-  m.name = "progress_oversub";
-  m.kind = TransportKind::ProgressThread;
-  m.fabric = paperFabric();
-  m.progress = transport::ProgressThreadConfig{};
+  auto m = paperMachine("progress_oversub", TransportKind::ProgressThread);
   m.progress.dedicatedCore = false;  // engine steals cycles from CPU 0
-  m.secondsPerWorkIter = 4e-9;
   return m;
 }
 
 MachineConfig rdmaMachine() {
-  MachineConfig m;
-  m.name = "rdma";
-  m.kind = TransportKind::Rdma;
-  m.fabric = paperFabric();
-  m.rdma = transport::RdmaConfig{};  // defaults in rdma.hpp
-  m.secondsPerWorkIter = 4e-9;
-  return m;
+  return paperMachine("rdma", TransportKind::Rdma);
 }
 
 }  // namespace comb::backend

@@ -2,11 +2,14 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <functional>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <set>
+#include <type_traits>
+#include <variant>
 
+#include "backend/stacks.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "host/noise.hpp"
@@ -60,6 +63,24 @@ Parsed tokenize(std::istream& in, const std::string& source) {
   return parsed;
 }
 
+/// Index of the option named `word`; otherwise a ConfigError naming
+/// every option, "<what> must be 'a', 'b' or 'c', got '<word>'".
+template <typename Options, typename NameOf>
+std::size_t pick(const std::string& source, const std::string& what,
+                 const std::string& word, const Options& options,
+                 NameOf nameOf) {
+  std::string names;
+  std::size_t i = 0;
+  for (const auto& option : options) {
+    if (word == nameOf(option)) return i;
+    if (i > 0) names += i + 1 == std::size(options) ? " or " : ", ";
+    names += std::string("'") + nameOf(option) + "'";
+    ++i;
+  }
+  throw ConfigError(source + ": " + what + " must be " + names + ", got '" +
+                    word + "'");
+}
+
 class Binder {
  public:
   Binder(Parsed parsed, std::string source)
@@ -70,7 +91,10 @@ class Binder {
     if (auto v = take(section, key)) out = *v;
   }
 
-  void number(const std::string& section, const std::string& key, double& out,
+  /// A numeric key, in file units `scale` times the model's (integer
+  /// members truncate).
+  template <typename T>
+  void number(const std::string& section, const std::string& key, T& out,
               double scale = 1.0) {
     if (auto v = take(section, key)) {
       char* end = nullptr;
@@ -78,15 +102,18 @@ class Binder {
       COMB_REQUIRE(end != v->c_str() && *end == '\0',
                    strFormat("%s: key '%s' expects a number, got '%s'",
                              source_.c_str(), key.c_str(), v->c_str()));
-      out = parsed * scale;
+      out = static_cast<T>(parsed * scale);
     }
   }
 
-  template <typename Int>
-  void integer(const std::string& section, const std::string& key, Int& out) {
-    double v = static_cast<double>(out);
-    number(section, key, v);
-    out = static_cast<Int>(v);
+  /// A key naming one of `options`; `what` names it in the error.
+  template <typename E, typename NameOf>
+  void choice(const std::string& section, const std::string& key,
+              const std::string& what, E& out,
+              std::initializer_list<E> options, NameOf nameOf) {
+    std::string word = nameOf(out);
+    str(section, key, word);
+    out = options.begin()[pick(source_, what, word, options, nameOf)];
   }
 
   /// All keys must have been consumed.
@@ -119,195 +146,89 @@ class Binder {
 MachineConfig parseMachineFile(std::istream& in, const std::string& source) {
   Binder bind(tokenize(in, source), source);
 
-  std::string transport = "gm";
+  std::string transport = stacks().front().name;
   bind.str("", "transport", transport);
   // `stack` is an alias for `transport` (the docs talk about software
   // stacks); when both appear, `stack` wins.
   bind.str("", "stack", transport);
-  MachineConfig m;
-  if (transport == "gm") {
-    m = gmMachine();
-  } else if (transport == "portals") {
-    m = portalsMachine();
-  } else if (transport == "progress_thread") {
-    m = progressThreadMachine();
-  } else if (transport == "rdma") {
-    m = rdmaMachine();
-  } else {
-    throw ConfigError(source +
-                      ": transport must be 'gm', 'portals', "
-                      "'progress_thread' or 'rdma', got '" +
-                      transport + "'");
-  }
+  const StackRow& stack =
+      stacks()[pick(source, "transport", transport, stacks(),
+                    [](const StackRow& r) { return r.name; })];
+  MachineConfig m = stack.presets.front().make();
   bind.str("", "name", m.name);
 
   constexpr double kMBps = 1e6;
   constexpr double kUs = 1e-6;
   constexpr double kNs = 1e-9;
-  constexpr double kKB = 1024.0;
 
   bind.number("fabric", "link_rate_MBps", m.fabric.link.rate, kMBps);
   bind.number("fabric", "link_latency_us", m.fabric.link.latency, kUs);
   bind.number("fabric", "switch_latency_us", m.fabric.sw.routingLatency, kUs);
-  bind.integer("fabric", "switch_ports", m.fabric.sw.ports);
-  bind.integer("fabric", "mtu", m.fabric.mtu);
-  bind.integer("fabric", "packet_header", m.fabric.perPacketHeader);
+  bind.number("fabric", "switch_ports", m.fabric.sw.ports);
+  bind.number("fabric", "mtu", m.fabric.mtu);
+  bind.number("fabric", "packet_header", m.fabric.perPacketHeader);
 
   // [topology]: switch-graph shape plus the finite-queue knobs (the
   // queue config is per-switch but belongs with the fabric shape).
   auto& topo = m.fabric.topo;
-  std::string topoKind = net::topologyKindName(topo.kind);
-  bind.str("topology", "kind", topoKind);
-  if (topoKind == "single") {
-    topo.kind = net::TopologyKind::SingleSwitch;
-  } else if (topoKind == "fat-tree") {
-    topo.kind = net::TopologyKind::FatTree;
-  } else if (topoKind == "dragonfly") {
-    topo.kind = net::TopologyKind::Dragonfly;
-  } else {
-    throw ConfigError(source +
-                      ": topology kind must be 'single', 'fat-tree' or "
-                      "'dragonfly', got '" +
-                      topoKind + "'");
-  }
-  bind.integer("topology", "nodes_per_switch", topo.nodesPerSwitch);
-  bind.integer("topology", "spines", topo.spines);
-  bind.integer("topology", "groups", topo.groups);
-  bind.integer("topology", "routers_per_group", topo.routersPerGroup);
+  bind.choice("topology", "kind", "topology kind", topo.kind,
+              {net::TopologyKind::SingleSwitch, net::TopologyKind::FatTree,
+               net::TopologyKind::Dragonfly},
+              net::topologyKindName);
+  bind.number("topology", "nodes_per_switch", topo.nodesPerSwitch);
+  bind.number("topology", "spines", topo.spines);
+  bind.number("topology", "groups", topo.groups);
+  bind.number("topology", "routers_per_group", topo.routersPerGroup);
   bind.number("topology", "trunk_rate_scale", topo.trunkRateScale);
 
   auto& queue = m.fabric.sw.queue;
-  bind.integer("topology", "queue_depth_packets", queue.depthPackets);
-  bind.integer("topology", "queue_depth_bytes", queue.depthBytes);
-  std::string arb = net::arbitrationName(queue.arbitration);
-  bind.str("topology", "arbitration", arb);
-  if (arb == "rr") {
-    queue.arbitration = net::Arbitration::RoundRobin;
-  } else if (arb == "fifo") {
-    queue.arbitration = net::Arbitration::Fifo;
-  } else {
-    throw ConfigError(source + ": arbitration must be 'rr' or 'fifo', got '" +
-                      arb + "'");
-  }
-  std::string bp = net::backpressureName(queue.backpressure);
-  bind.str("topology", "backpressure", bp);
-  if (bp == "drop") {
-    queue.backpressure = net::Backpressure::TailDrop;
-  } else if (bp == "credit") {
-    queue.backpressure = net::Backpressure::Credit;
-  } else {
-    throw ConfigError(source +
-                      ": backpressure must be 'drop' or 'credit', got '" + bp +
-                      "'");
-  }
-
-  bind.number("host", "seconds_per_iter_ns", m.secondsPerWorkIter, kNs);
-  bind.integer("host", "cpus_per_node", m.cpusPerNode);
-  bind.integer("host", "nic_cpu", m.nicCpu);
+  bind.number("topology", "queue_depth_packets", queue.depthPackets);
+  bind.number("topology", "queue_depth_bytes", queue.depthBytes);
+  bind.choice("topology", "arbitration", "arbitration", queue.arbitration,
+              {net::Arbitration::RoundRobin, net::Arbitration::Fifo},
+              net::arbitrationName);
+  bind.choice("topology", "backpressure", "backpressure", queue.backpressure,
+              {net::Backpressure::TailDrop, net::Backpressure::Credit},
+              net::backpressureName);
 
   auto& fault = m.fabric.link.fault;
   bind.number("fault", "drop", fault.dropProb);
-  bind.integer("fault", "burst", fault.burstLen);
+  bind.number("fault", "burst", fault.burstLen);
   bind.number("fault", "corrupt", fault.corruptProb);
   bind.number("fault", "jitter_us", fault.jitter, kUs);
-  bind.integer("fault", "seed", fault.seed);
+  bind.number("fault", "seed", fault.seed);
 
   bind.number("noise", "period_us", m.noise.period, kUs);
   bind.number("noise", "duration_us", m.noise.duration, kUs);
   bind.number("noise", "jitter", m.noise.jitter);
-  bind.integer("noise", "daemons", m.noise.daemons);
+  bind.number("noise", "daemons", m.noise.daemons);
   bind.number("noise", "coalesce_us", m.noise.coalesce, kUs);
-  bind.integer("noise", "seed", m.noise.seed);
+  bind.number("noise", "seed", m.noise.seed);
 
-  // Retransmission protocol knobs land on whichever stack is active.
-  auto& rel = m.kind == TransportKind::Gm             ? m.gm.rel
-              : m.kind == TransportKind::Portals      ? m.portals.rel
-              : m.kind == TransportKind::ProgressThread
-                  ? m.progress.proto.rel
-                  : m.rdma.rel;
-  const std::string relSection =
-      m.kind == TransportKind::Gm             ? "gm"
-      : m.kind == TransportKind::Portals      ? "portals"
-      : m.kind == TransportKind::ProgressThread ? "progress"
-                                                : "rdma";
-  bind.number(relSection, "ack_timeout_us", rel.ackTimeout, kUs);
-  bind.integer(relSection, "ack_bytes", rel.ackBytes);
-  bind.integer(relSection, "max_retries", rel.maxRetries);
-  bind.number(relSection, "backoff", rel.backoff);
-
-  // GM-protocol knobs apply both to the plain GM stack ([gm]) and to the
-  // library core underneath the progress engine ([progress]).
-  const auto gmProtoKeys = [&](const std::string& sec,
-                               transport::GmConfig& g) {
-    double thr = static_cast<double>(g.eagerThreshold);
-    bind.number(sec, "eager_threshold_kb", thr, kKB);
-    g.eagerThreshold = static_cast<Bytes>(thr);
-    bind.number(sec, "post_overhead_us", g.postOverhead, kUs);
-    bind.number(sec, "eager_tx_copy_MBps", g.eagerTxCopyRate, kMBps);
-    bind.number(sec, "eager_rx_copy_MBps", g.eagerRxCopyRate, kMBps);
-    bind.number(sec, "lib_call_cost_us", g.libCallCost, kUs);
-    bind.number(sec, "ctrl_handle_cost_us", g.ctrlHandleCost, kUs);
-  };
-  if (m.kind == TransportKind::Gm) {
-    gmProtoKeys("gm", m.gm);
-  } else if (m.kind == TransportKind::Portals) {
-    bind.number("portals", "post_syscall_us", m.portals.postSyscall, kUs);
-    bind.number("portals", "post_kernel_us", m.portals.postKernel, kUs);
-    bind.number("portals", "lib_call_cost_us", m.portals.libCallCost, kUs);
-    bind.number("portals", "per_frag_tx_us", m.portals.nic.perFragTx, kUs);
-    bind.number("portals", "per_frag_rx_us", m.portals.nic.perFragRx, kUs);
-    bind.number("portals", "kernel_copy_MBps", m.portals.nic.kernelCopyRate,
-                kMBps);
-    bind.number("portals", "unexpected_copy_MBps",
-                m.portals.unexpectedCopyRate, kMBps);
-  } else if (m.kind == TransportKind::ProgressThread) {
-    gmProtoKeys("progress", m.progress.proto);
-    std::string placement =
-        m.progress.dedicatedCore ? "dedicated" : "oversubscribed";
-    bind.str("progress", "placement", placement);
-    if (placement == "dedicated") {
-      m.progress.dedicatedCore = true;
-    } else if (placement == "oversubscribed") {
-      m.progress.dedicatedCore = false;
-    } else {
-      throw ConfigError(source +
-                        ": placement must be 'dedicated' or "
-                        "'oversubscribed', got '" +
-                        placement + "'");
-    }
-    // Switching a dedicated preset to oversubscribed (or vice versa)
-    // from a machine file must also re-home the engine CPU. Re-binding
-    // the [host] keys afterwards lets an explicit cpus_per_node /
-    // nic_cpu still win (Binder reads are idempotent).
-    if (m.progress.dedicatedCore) {
-      if (m.cpusPerNode < 2) m.cpusPerNode = 2;
-      if (m.nicCpu == 0) m.nicCpu = 1;
-    } else {
-      m.cpusPerNode = 1;
-      m.nicCpu = 0;
-    }
-    bind.integer("host", "cpus_per_node", m.cpusPerNode);
-    bind.integer("host", "nic_cpu", m.nicCpu);
-    bind.number("progress", "poll_period_us", m.progress.pollPeriod, kUs);
-    bind.number("progress", "wakeup_us", m.progress.wakeupLatency, kUs);
-    bind.number("progress", "poll_cost_us", m.progress.pollCost, kUs);
-    bind.number("progress", "handoff_us", m.progress.handoffPenalty, kUs);
-  } else {
-    double thr = static_cast<double>(m.rdma.eagerThreshold);
-    bind.number("rdma", "eager_threshold_kb", thr, kKB);
-    m.rdma.eagerThreshold = static_cast<Bytes>(thr);
-    bind.number("rdma", "post_overhead_us", m.rdma.postOverhead, kUs);
-    bind.number("rdma", "lib_call_cost_us", m.rdma.libCallCost, kUs);
-    bind.number("rdma", "match_delay_us", m.rdma.matchDelay, kUs);
-    bind.number("rdma", "per_frag_tx_us", m.rdma.nic.perFragTx, kUs);
-    bind.number("rdma", "unexpected_copy_MBps", m.rdma.unexpectedCopyRate,
-                kMBps);
+  // The active stack's section: its field walk, then its placement hook.
+  for (const StackField& f : stack.fields(m)) {
+    if (!f.fileKey) continue;
+    std::visit(
+        [&](auto member) {
+          if constexpr (std::is_same_v<decltype(member), StackChoice>)
+            bind.choice(stack.section, f.fileKey, f.fileKey, *member.flag,
+                        {true, false}, [&](bool b) { return member.name(b); });
+          else
+            bind.number(stack.section, f.fileKey, *member, f.scale);
+        },
+        f.member);
   }
+  if (stack.place) stack.place(m);
+
+  bind.number("host", "seconds_per_iter_ns", m.secondsPerWorkIter, kNs);
+  bind.number("host", "cpus_per_node", m.cpusPerNode);
+  bind.number("host", "nic_cpu", m.nicCpu);
   bind.finish();
 
   net::validateFaultSpec(m.fabric.link.fault);
   host::validateNoiseSpec(m.noise);
   net::validateTopology(m.fabric.topo, m.fabric.sw);
+  const transport::ReliabilityConfig& rel = stack.rel(m);
   COMB_REQUIRE(rel.ackTimeout > 0 && rel.backoff >= 1.0 && rel.maxRetries >= 1,
                source + ": bad reliability configuration (ack_timeout_us > 0, "
                         "backoff >= 1, max_retries >= 1)");
@@ -317,12 +238,8 @@ MachineConfig parseMachineFile(std::istream& in, const std::string& source) {
   COMB_REQUIRE(m.cpusPerNode >= 1 && m.nicCpu >= 0 &&
                    m.nicCpu < m.cpusPerNode,
                source + ": bad cpus_per_node / nic_cpu combination");
-  if (m.kind == TransportKind::ProgressThread && m.progress.dedicatedCore) {
-    COMB_REQUIRE(m.cpusPerNode >= 2 && m.nicCpu != 0,
-                 source + ": dedicated progress placement needs "
-                          "cpus_per_node >= 2 with nic_cpu != 0 (the "
-                          "application owns CPU 0)");
-  }
+  if (const char* why = stack.shapeError ? stack.shapeError(m) : nullptr)
+    throw ConfigError(source + ": " + why);
   return m;
 }
 

@@ -4,50 +4,16 @@
 //
 //   # my-cluster.ini
 //   name = mynic
-//   transport = portals          # gm | portals
+//   transport = portals   # gm | portals | progress_thread | rdma; or `stack`
+//   [fabric]              # also [topology], [host], [fault], [noise]
+//   link_rate_MBps = 90
+//   [portals]             # the stack's section: [gm] | [portals] |
+//   per_frag_rx_us = 20   #   [progress] | [rdma], each also taking the
+//   max_retries    = 10   #   reliability keys ack_timeout_us, ack_bytes,
+//   backoff        = 2    #   max_retries and backoff
 //
-//   [fabric]
-//   link_rate_MBps   = 90
-//   link_latency_us  = 2
-//   switch_latency_us = 0.5
-//   mtu              = 4096
-//   packet_header    = 64
-//   switch_ports     = 16        # unidirectional: a node takes 2
-//
-//   [topology]                   # switch graph; see docs/topologies.md
-//   kind = fat-tree              # single | fat-tree | dragonfly
-//   nodes_per_switch = 4
-//   spines           = 2         # fat-tree only
-//   groups           = 2         # dragonfly only
-//   routers_per_group = 2        # dragonfly only
-//   trunk_rate_scale = 1.0       # trunk rate / node link rate
-//   queue_depth_packets = 0      # 0 = idealized infinite-buffer crossbar
-//   queue_depth_bytes   = 0      # 0 = no byte cap
-//   arbitration  = rr            # rr | fifo
-//   backpressure = drop          # drop | credit
-//
-//   [host]
-//   seconds_per_iter_ns = 4
-//   cpus_per_node       = 1
-//   nic_cpu             = 0
-//
-//   [gm]                         # only read when transport = gm
-//   eager_threshold_kb  = 16
-//   post_overhead_us    = 5
-//   eager_tx_copy_MBps  = 280
-//   eager_rx_copy_MBps  = 400
-//   lib_call_cost_us    = 0.7
-//   ctrl_handle_cost_us = 1
-//
-//   [portals]                    # only read when transport = portals
-//   post_syscall_us     = 15
-//   post_kernel_us      = 85
-//   lib_call_cost_us    = 1.2
-//   per_frag_tx_us      = 9
-//   per_frag_rx_us      = 20
-//   kernel_copy_MBps    = 280
-//   unexpected_copy_MBps = 250
-//
+// docs/machine_models.md lists every key (a stack's keys are its field
+// walk in backend/stacks.cpp); machines/*.ini are complete examples.
 // Unset keys keep the preset defaults; unknown keys or sections are hard
 // errors (typos must not silently produce a different machine).
 #pragma once

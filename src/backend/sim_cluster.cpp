@@ -2,13 +2,10 @@
 
 #include <algorithm>
 
+#include "backend/stacks.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "nic/reliable_link.hpp"
-#include "transport/gm.hpp"
-#include "transport/portals.hpp"
-#include "transport/progress_thread.hpp"
-#include "transport/rdma.hpp"
 
 namespace comb::backend {
 
@@ -80,14 +77,12 @@ SimCluster::SimCluster(MachineConfig cfg, int nodeCount, int simJobs,
   // Two passes: the fabric needs delivery sinks at addNode() time, but the
   // endpoints that own the sinks need their node ids. Register
   // trampolines that forward to the endpoint created in pass two.
-  std::vector<net::NodeId> ids;
   for (int i = 0; i < nodeCount; ++i) {
     nodes_.emplace_back();
     const net::NodeId id = fabric_->addNode([this, i](net::Packet p) {
       nodes_[static_cast<std::size_t>(i)].endpoint->deliver(std::move(p));
     });
     COMB_ASSERT(id == i, "fabric node ids must be dense");
-    ids.push_back(id);
   }
 
   if (exec_.parallel()) {
@@ -120,35 +115,8 @@ SimCluster::SimCluster(MachineConfig cfg, int nodeCount, int simJobs,
           ctx, strFormat("cpu%d.%d", i, c), i, cfg_.noise));
     host::Cpu& appCpu = *node.cpus[0];
     host::Cpu& nicCpu = *node.cpus[static_cast<std::size_t>(cfg_.nicCpu)];
-    switch (cfg_.kind) {
-      case TransportKind::Gm:
-        node.endpoint = std::make_unique<transport::GmEndpoint>(
-            ctx, appCpu, *fabric_, ids[static_cast<std::size_t>(i)],
-            cfg_.gm);
-        break;
-      case TransportKind::Portals:
-        node.endpoint = std::make_unique<transport::PortalsEndpoint>(
-            ctx, appCpu, nicCpu, *fabric_, ids[static_cast<std::size_t>(i)],
-            cfg_.portals);
-        break;
-      case TransportKind::ProgressThread: {
-        if (cfg_.progress.dedicatedCore) {
-          COMB_REQUIRE(cfg_.cpusPerNode >= 2 && cfg_.nicCpu != 0,
-                       "dedicated progress engine needs cpusPerNode >= 2 "
-                       "with nicCpu != 0");
-        }
-        host::Cpu& engineCpu = cfg_.progress.dedicatedCore ? nicCpu : appCpu;
-        node.endpoint = std::make_unique<transport::ProgressThreadEndpoint>(
-            ctx, appCpu, engineCpu, *fabric_,
-            ids[static_cast<std::size_t>(i)], cfg_.progress);
-        break;
-      }
-      case TransportKind::Rdma:
-        node.endpoint = std::make_unique<transport::RdmaEndpoint>(
-            ctx, appCpu, *fabric_, ids[static_cast<std::size_t>(i)],
-            cfg_.rdma);
-        break;
-    }
+    node.endpoint = stackRow(cfg_.kind).makeEndpoint(
+        {ctx, appCpu, nicCpu, *fabric_, i, cfg_});
     node.mpi = std::make_unique<mpi::Mpi>(ctx, *node.endpoint, i, nodeCount);
     node.proc = std::make_unique<SimProc>(ctx, appCpu, *node.mpi,
                                           cfg_.secondsPerWorkIter);

@@ -28,6 +28,8 @@ int traceLayer(sim::TraceCategory cat) {
     case C::Wire:
     case C::Fault:
       return 4;  // wire
+    case C::Engine:
+      return 5;  // progress engine
   }
   return 0;
 }
@@ -38,6 +40,7 @@ const char* traceLayerName(int layer) {
     case 2: return "library";
     case 3: return "nic";
     case 4: return "wire";
+    case 5: return "engine";
   }
   return "?";
 }

@@ -3,9 +3,9 @@
 // writeChromeTrace emits the Chrome trace-event JSON format (also consumed
 // by Perfetto's legacy importer and `chrome://tracing`): each simulated
 // node becomes a process, each lifecycle layer (host / library / NIC /
-// wire) becomes a named thread track inside it, and records map to
-// duration ("B"/"E"), complete ("X"), and instant ("i") events with
-// timestamps in microseconds of virtual time.
+// wire / progress engine) becomes a named thread track inside it, and
+// records map to duration ("B"/"E"), complete ("X"), and instant ("i")
+// events with timestamps in microseconds of virtual time.
 //
 // writeTraceSummary is the text-mode view behind `comb trace --summary`:
 // per-category and per-node record counts plus the top-N most
@@ -23,7 +23,7 @@ namespace comb::report {
 void writeChromeTrace(std::ostream& out, const sim::TraceLog& log);
 
 /// Lifecycle-layer track id for a category (1 = host, 2 = library,
-/// 3 = NIC, 4 = wire). Exposed for tests.
+/// 3 = NIC, 4 = wire, 5 = progress engine). Exposed for tests.
 int traceLayer(sim::TraceCategory cat);
 const char* traceLayerName(int layer);
 

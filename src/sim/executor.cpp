@@ -352,7 +352,12 @@ void Executor::driveShards(int w) {
     barrier_.arriveAndWait([this] { planWindow(); });
     barrierWait.record(
         std::chrono::duration<double>(WallClock::now() - planArrive).count());
-    if (done_) return;
+    if (done_) {
+      // One more crossing: no worker is still recording when run()
+      // returns and its caller reads the registries.
+      barrier_.arriveAndWait([] {});
+      return;
+    }
     for (int d = lo; d < hi; ++d) {
       ShardContext& s = *shards_[static_cast<std::size_t>(d)];
       const std::uint64_t before = s.eventsExecuted();
@@ -403,8 +408,8 @@ Time Executor::run(Time until) {
   runGen_.notify_all();
   driveShards(0);
 
-  // The final planWindow set done_ under the barrier, so every worker has
-  // arrived there and all shard state is visible here.
+  // The final planWindow set done_ under the barrier, and every worker
+  // crossed once more after it, so all shard state is visible here.
   if (windowError_) std::rethrow_exception(windowError_);
   // Deterministic failure selection: lowest shard index wins, same
   // convention as parallelFor and runSweepParallel.

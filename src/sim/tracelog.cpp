@@ -20,6 +20,7 @@ const char* traceCategoryName(TraceCategory c) {
     case TraceCategory::MpiCall: return "mpi-call";
     case TraceCategory::Phase: return "phase";
     case TraceCategory::Fault: return "fault";
+    case TraceCategory::Engine: return "engine";
   }
   return "?";
 }
@@ -271,11 +272,8 @@ void TraceLog::dump(std::ostream& out, std::size_t maxRows) const {
 
 std::string TraceLog::summary() const {
   std::string s;
-  for (const TraceCategory cat :
-       {TraceCategory::Process, TraceCategory::Compute,
-        TraceCategory::Interrupt, TraceCategory::Packet, TraceCategory::Wire,
-        TraceCategory::NicEvent, TraceCategory::Protocol,
-        TraceCategory::MpiCall, TraceCategory::Phase, TraceCategory::Fault}) {
+  for (std::size_t c = 0; c < kTraceCategoryCount; ++c) {
+    const auto cat = static_cast<TraceCategory>(c);
     const auto n = count(cat);
     if (n > 0) {
       if (!s.empty()) s += ", ";

@@ -50,10 +50,11 @@ enum class TraceCategory : std::uint8_t {
   Phase,      ///< benchmark phase (span; label: "post", "work", "wait"...)
   Fault,      ///< injected fault / reliability action (label: e.g.
               ///< "up0:drop", "retransmit"; a = bytes, b = seq/msgId)
+  Engine,     ///< progress-engine session (span), apart from the app's calls
 };
 
 /// Number of TraceCategory enumerators (used for per-track bookkeeping).
-inline constexpr std::size_t kTraceCategoryCount = 10;
+inline constexpr std::size_t kTraceCategoryCount = 11;
 
 const char* traceCategoryName(TraceCategory c);
 

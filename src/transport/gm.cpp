@@ -194,11 +194,13 @@ sim::Task<void> GmEndpoint::handleMatchEvent(nic::GmEvent ev) {
               mpi::Status{ev.env.srcRank, ev.env.tag, ev.msgBytes}, ev.data);
       signalActivity();
     } else {
-      co_await chargeProgress(cfg_.ctrlHandleCost);
+      // Queue before yielding: a progress engine runs beside the
+      // application, and a receive posted during the charge must see it.
       const std::uint64_t id = nextUnexId_++;
       unexpected_[id] = UnexRec{WireKind::Eager, ev.env, ev.msgBytes, ev.data,
                                 ev.srcNode, ev.senderHandle};
       match_.addUnexpected(ev.env, ev.msgBytes, id);
+      co_await chargeProgress(cfg_.ctrlHandleCost);
     }
     co_return;
   }

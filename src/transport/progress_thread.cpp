@@ -66,8 +66,8 @@ sim::Task<void> ProgressThreadEndpoint::drainSession() {
   lastWakeup_ = sim_.now();
   ++engineWakeups_;
   wakeupCounter_.add();
-  sim::TraceScope span(sim_, sim::TraceCategory::Protocol, node_,
-                       "pt-engine");
+  // Its own track: the engine runs while the app is in a library call.
+  sim::TraceScope span(sim_, sim::TraceCategory::Engine, node_, "pt-engine");
   co_await chargeProgress(ptCfg_.pollCost);
   while (auto ev = nic_.pop()) {
     // Every event crosses the engine<->app cacheline boundary once.

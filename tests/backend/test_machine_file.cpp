@@ -180,6 +180,34 @@ TEST(MachineFile, BundledFilesParse) {
   EXPECT_EQ(df.fabric.sw.queue.depthPackets, 16);
 }
 
+TEST(MachineFile, PresetHashesPinned) {
+  // Archives store these hashes; `comb compare` treats a changed hash as
+  // a different machine, so no refactor of the parser or the signature
+  // may move them. The preset values match archives/ext_progress_smoke.json.
+  EXPECT_EQ(machineHash(gmMachine()), "6533203c4f2f57b9");
+  EXPECT_EQ(machineHash(portalsMachine()), "4bcb1a90a5f68d42");
+  EXPECT_EQ(machineHash(progressThreadMachine()), "82d78519e72df98d");
+  EXPECT_EQ(machineHash(progressOversubMachine()), "5af83f5ba3bc9234");
+  EXPECT_EQ(machineHash(rdmaMachine()), "0ac2b636117cf8a9");
+}
+
+TEST(MachineFile, BundledFileHashesPinned) {
+  const std::pair<const char*, const char*> pinned[] = {
+      {"dragonfly_portals", "1aee66ee2e64c35b"},
+      {"fat_tree_gm", "4b527d89b6c801de"},
+      {"paper_gm", "10d20e58f14d81da"},
+      {"paper_portals", "ea153b4cf871f625"},
+      {"progress_thread", "f60174bc407d414f"},
+      {"rdma", "0ac2b636117cf8a9"},
+      {"smp_steered_portals", "5388c5c198c9a2c9"},
+  };
+  for (const auto& [file, hash] : pinned) {
+    const auto m = loadMachineFile(std::string(COMB_SOURCE_DIR) +
+                                   "/machines/" + file + ".ini");
+    EXPECT_EQ(machineHash(m), hash) << file;
+  }
+}
+
 TEST(MachineFile, MissingFileRejected) {
   EXPECT_THROW(loadMachineFile("/nonexistent/machine.ini"), ConfigError);
 }

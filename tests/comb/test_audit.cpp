@@ -178,6 +178,28 @@ TEST(AuditIntegration, PollingTraceMatchesReportedPointOnBothMachines) {
   }
 }
 
+TEST(AuditIntegration, ProgressEngineTraceAuditsLosslessAndLossy) {
+  // The engine's drain sessions run while the application is inside its
+  // own library calls; both must trace without their spans colliding.
+  PwwParams params;
+  params.msgBytes = 10_KB;
+  params.workInterval = 1'000;
+  for (auto machine : {backend::progressThreadMachine(),
+                       backend::progressOversubMachine()}) {
+    for (const double drop : {0.0, 0.01}) {
+      machine.fabric.link.fault.dropProb = drop;
+      machine.fabric.link.fault.seed = 3;
+      const auto run = runPwwPointTraced(machine, params);
+      ASSERT_NE(run.trace, nullptr);
+      EXPECT_EQ(run.trace->openSpans(), 0u) << machine.name << " " << drop;
+      EXPECT_GT(run.trace->countSpans(TraceCategory::Engine), 0u)
+          << machine.name << " " << drop;
+      EXPECT_EQ(checkPww(auditPww(*run.trace), run.point), "")
+          << machine.name << " " << drop;
+    }
+  }
+}
+
 TEST(AuditIntegration, TracedPointEqualsUntracedPoint) {
   // Tracing must be a pure observer: the measured numbers are identical
   // with and without the log attached.

@@ -30,10 +30,12 @@ TEST(TraceLayer, CoversEveryCategory) {
   EXPECT_EQ(traceLayer(TraceCategory::Packet), 3);
   EXPECT_EQ(traceLayer(TraceCategory::Wire), 4);
   EXPECT_EQ(traceLayer(TraceCategory::Fault), 4);
+  EXPECT_EQ(traceLayer(TraceCategory::Engine), 5);
   EXPECT_STREQ(traceLayerName(1), "host");
   EXPECT_STREQ(traceLayerName(2), "library");
   EXPECT_STREQ(traceLayerName(3), "nic");
   EXPECT_STREQ(traceLayerName(4), "wire");
+  EXPECT_STREQ(traceLayerName(5), "engine");
 }
 
 TEST(ChromeTrace, EmitsEventsWithLayerTracks) {

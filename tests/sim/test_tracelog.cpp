@@ -67,6 +67,7 @@ TEST(TraceLog, CategoryNamesAreDistinctAndStable) {
   EXPECT_STREQ(traceCategoryName(TraceCategory::MpiCall), "mpi-call");
   EXPECT_STREQ(traceCategoryName(TraceCategory::Phase), "phase");
   EXPECT_STREQ(traceCategoryName(TraceCategory::Fault), "fault");
+  EXPECT_STREQ(traceCategoryName(TraceCategory::Engine), "engine");
 }
 
 TEST(TraceLog, LabelsInternToStableIds) {

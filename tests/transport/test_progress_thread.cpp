@@ -106,8 +106,9 @@ TEST(ProgressThread, PlacementDecidesWhoPaysForTheEngine) {
   }
 }
 
-// Lifecycle trace census: every engine wakeup opens a "pt-engine"
-// protocol span, and the span count matches the wakeup counter.
+// Lifecycle trace census: every engine wakeup opens a "pt-engine" span
+// on the engine's own track, and the span count matches the wakeup
+// counter.
 TEST(ProgressThread, EngineWakeupsLeaveTraceSpans) {
   SimCluster cluster(progressThreadMachine(), 2);
   cluster.enableTracing();
@@ -118,12 +119,25 @@ TEST(ProgressThread, EngineWakeupsLeaveTraceSpans) {
   const auto log = cluster.releaseTraceLog();
   ASSERT_NE(log, nullptr);
   std::size_t engineSpans = 0;
-  for (const auto* rec : log->select(sim::TraceCategory::Protocol, 0))
+  for (const auto* rec : log->select(sim::TraceCategory::Engine, 0))
     if (log->labelName(rec->label) == "pt-engine" &&
         rec->phase == sim::TracePhase::Begin)
       ++engineSpans;
   EXPECT_EQ(engineSpans, ptEndpoint(cluster, 0).engineWakeups());
   EXPECT_GT(engineSpans, 0u);
+}
+
+// The engine matches arrivals while the application posts receives. An
+// eager arrival that finds no posted receive must be queued as
+// unexpected before the engine yields, or a receive posted meanwhile
+// never sees it; this 10 KB PWW point used to end with both ranks
+// suspended forever.
+TEST(ProgressThread, EagerArrivalRacingAReceivePostStillMatches) {
+  auto params = bench::presets::pwwBase(10_KB);
+  params.workInterval = 52'526;
+  const auto point = bench::runPwwPoint(progressThreadMachine(), params);
+  EXPECT_GT(point.bandwidthBps, 0.0);
+  EXPECT_GT(point.availability, 0.0);
 }
 
 // Fault recovery happens in engine context: retransmits flow without the

@@ -6,8 +6,9 @@
 //   comb latency --machine portals --size-kb 100
 //   comb assess  --machine gm
 //
-// Machines are the bundled models (gm | portals), optionally modified by
-// --cpus N --nic-cpu K (SMP extension) and --queue / --batch knobs.
+// Machines are the bundled presets (backend/stacks.hpp) or a machine file,
+// optionally modified by --cpus N --nic-cpu K (SMP extension) and
+// --queue / --batch knobs.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -17,6 +18,7 @@
 #include "backend/machine.hpp"
 #include "backend/machine_file.hpp"
 #include "backend/sim_cluster.hpp"
+#include "backend/stacks.hpp"
 #include "comb/analysis.hpp"
 #include "comb/archive_build.hpp"
 #include "comb/audit.hpp"
@@ -46,33 +48,8 @@ void usage() {
   std::puts(
       "usage: comb <polling|pww|latency|assess|stats|trace|compare|hist> "
       "[options]\n"
-      "  common options:\n"
-      "    --machine M             gm | portals | progress_thread |\n"
-      "                            progress_oversub | rdma (default gm)\n"
-      "    --machine-file F        load a machine definition (.ini)\n"
-      "    --size-kb N             message size in KB (default 100)\n"
-      "    --cpus N --nic-cpu K    SMP extension knobs\n"
-      "    --jobs N                worker threads for sweeps (0 = all\n"
-      "                            cores); results are bit-identical\n"
-      "    --sim-jobs N            simulator-core shards per cluster\n"
-      "                            (1 = classic serial core; N > 1 is a\n"
-      "                            distinct deterministic configuration)\n"
-      "    --sim-affinity P        pin shard workers: none|compact|scatter\n"
-      "                            (wall time only; results identical)\n"
-      "    --fault SPEC            inject link faults, e.g.\n"
-      "                            drop=0.01,burst=4,seed=7 (keys: drop,\n"
-      "                            burst, corrupt, jitter_us, seed)\n"
-      "    --noise SPEC            inject OS noise on every host CPU,\n"
-      "                            e.g. period_us=250,duration_us=20\n"
-      "                            (keys: period_us, duration_us, jitter,\n"
-      "                            daemons, coalesce_us, seed)\n"
-      "    --reps N                repetitions per point (default 1)\n"
-      "    --reps-auto             adaptive reps: stop when the relative\n"
-      "                            CI half-width reaches --ci-target\n"
-      "    --ci-target F --max-reps N --seed S   adaptive-rep knobs\n"
-      "    --archive DIR           write a result archive (per-rep\n"
-      "                            samples + provenance) for `comb\n"
-      "                            compare`\n"
+      "  common options (--machine, --size-kb, --jobs, --fault, --reps, ...):\n"
+      "  `comb <method> --help` lists every option with its default\n"
       "  polling: --interval I | --sweep    --queue Q\n"
       "  pww:     --work W | --sweep        --batch B  --test-at F\n"
       "  latency: (size only)\n"
@@ -96,9 +73,7 @@ void usage() {
 
 ArgParser makeParser(const std::string& method) {
   ArgParser args("comb " + method, "COMB benchmark suite");
-  args.addOption(
-      "machine",
-      "gm | portals | progress_thread | progress_oversub | rdma", "gm");
+  args.addOption("machine", backend::presetNames(), "gm");
   args.addOption("machine-file", "load a machine definition file (.ini)", "");
   args.addOption("size-kb", "message size in KB", "100");
   args.addOption("cpus", "CPUs per node (SMP extension)", "1");
@@ -171,52 +146,12 @@ ArgParser makeParser(const std::string& method) {
   return args;
 }
 
-/// Resolve --jobs: 0 means "all hardware threads"; anything negative is a
-/// configuration error reported before any simulation starts.
-int jobsFrom(const ArgParser& args) {
-  const auto jobs = args.integer("jobs");
-  if (jobs < 0)
-    throw ConfigError("--jobs must be >= 0 (0 = all cores), got " +
-                      args.str("jobs"));
-  return jobs == 0 ? hardwareJobs() : static_cast<int>(jobs);
-}
-
-/// Resolve --sim-jobs with parse-time validation (any value below 1 is a
-/// configuration error, reported before any simulation starts).
-int simJobsFrom(const ArgParser& args) {
-  const auto simJobs = args.integer("sim-jobs");
-  if (simJobs < 1)
-    throw ConfigError("--sim-jobs must be >= 1, got " + args.str("sim-jobs"));
-  return static_cast<int>(simJobs);
-}
-
-/// Resolve --sim-affinity; sim::parseAffinityPolicy reports unknown
-/// policy names as configuration errors before any simulation starts.
-sim::AffinityPolicy simAffinityFrom(const ArgParser& args) {
-  return sim::parseAffinityPolicy(args.str("sim-affinity"));
-}
-
 backend::MachineConfig machineFrom(const ArgParser& args) {
   backend::MachineConfig m;
   if (const std::string file = args.str("machine-file"); !file.empty()) {
     m = backend::loadMachineFile(file);
   } else {
-    const std::string name = args.str("machine");
-    if (name == "gm") {
-      m = backend::gmMachine();
-    } else if (name == "portals") {
-      m = backend::portalsMachine();
-    } else if (name == "progress_thread") {
-      m = backend::progressThreadMachine();
-    } else if (name == "progress_oversub") {
-      m = backend::progressOversubMachine();
-    } else if (name == "rdma") {
-      m = backend::rdmaMachine();
-    } else {
-      throw ConfigError("unknown machine '" + name +
-                        "' (gm | portals | progress_thread | "
-                        "progress_oversub | rdma)");
-    }
+    m = backend::presetMachine(args.str("machine"));
     // Presets pick their own CPU shape (progress_thread needs a second
     // core); only explicit --cpus / --nic-cpu override it.
     if (args.given("cpus"))
@@ -233,6 +168,28 @@ backend::MachineConfig machineFrom(const ArgParser& args) {
   return m;
 }
 
+/// --size-kb in bytes.
+Bytes sizeFrom(const ArgParser& args) {
+  return static_cast<Bytes>(args.integer("size-kb")) * 1024;
+}
+
+/// The polling point --size-kb, --queue and --interval describe.
+bench::PollingParams pollingParamsFrom(const ArgParser& args) {
+  auto p = bench::presets::pollingBase(sizeFrom(args));
+  p.queueDepth = static_cast<int>(args.integer("queue"));
+  p.pollInterval = static_cast<std::uint64_t>(args.integer("interval"));
+  return p;
+}
+
+/// The PWW point --size-kb, --batch, --test-at and --work describe.
+bench::PwwParams pwwParamsFrom(const ArgParser& args) {
+  auto p = bench::presets::pwwBase(sizeFrom(args));
+  p.batch = static_cast<int>(args.integer("batch"));
+  p.testCallAtFraction = args.real("test-at");
+  p.workInterval = static_cast<std::uint64_t>(args.integer("work"));
+  return p;
+}
+
 /// The rep policy described by the common CLI flags.
 bench::RepPolicy repPolicyFrom(const ArgParser& args) {
   bench::RepPolicy p;
@@ -244,6 +201,26 @@ bench::RepPolicy repPolicyFrom(const ArgParser& args) {
   p.seed = static_cast<std::uint64_t>(args.integer("seed"));
   bench::validateRepPolicy(p);
   return p;
+}
+
+/// The run options the common flags describe, validated before any
+/// simulation starts: --jobs 0 means all hardware threads, and negative
+/// --jobs, --sim-jobs below 1, unknown --sim-affinity policies and bad
+/// rep knobs are configuration errors.
+bench::RunOptions runOptionsFrom(const ArgParser& args) {
+  bench::RunOptions opts;
+  const auto jobs = args.integer("jobs");
+  if (jobs < 0)
+    throw ConfigError("--jobs must be >= 0 (0 = all cores), got " +
+                      args.str("jobs"));
+  opts.jobs = jobs == 0 ? hardwareJobs() : static_cast<int>(jobs);
+  const auto simJobs = args.integer("sim-jobs");
+  if (simJobs < 1)
+    throw ConfigError("--sim-jobs must be >= 1, got " + args.str("sim-jobs"));
+  opts.simJobs = static_cast<int>(simJobs);
+  opts.simAffinity = sim::parseAffinityPolicy(args.str("sim-affinity"));
+  opts.rep = repPolicyFrom(args);
+  return opts;
 }
 
 /// Per-rep dispersion columns appended when more than one rep ran.
@@ -282,14 +259,8 @@ void printPollingRow(TextTable& t, const bench::RepRun<bench::PollingPoint>& run
 
 int runPolling(const ArgParser& args) {
   const auto machine = machineFrom(args);
-  auto params = bench::presets::pollingBase(
-      static_cast<Bytes>(args.integer("size-kb")) * 1024);
-  params.queueDepth = static_cast<int>(args.integer("queue"));
-  bench::RunOptions opts;
-  opts.jobs = jobsFrom(args);
-  opts.simJobs = simJobsFrom(args);
-  opts.simAffinity = simAffinityFrom(args);
-  opts.rep = repPolicyFrom(args);
+  const auto params = pollingParamsFrom(args);
+  const auto opts = runOptionsFrom(args);
   const bool withReps = opts.rep.adaptive || opts.rep.reps > 1;
 
   std::vector<std::string> header{"poll_interval", "bandwidth_MBps",
@@ -306,8 +277,6 @@ int runPolling(const ArgParser& args) {
     runs = bench::runPollingSweepReps(machine, bench::sweepOver(params, xs),
                                       opts);
   } else {
-    params.pollInterval =
-        static_cast<std::uint64_t>(args.integer("interval"));
     xs = {params.pollInterval};
     runs = {bench::runPollingPointReps(machine, params, opts)};
   }
@@ -346,15 +315,8 @@ void printPwwRow(TextTable& t, const bench::RepRun<bench::PwwPoint>& run,
 
 int runPww(const ArgParser& args) {
   const auto machine = machineFrom(args);
-  auto params = bench::presets::pwwBase(
-      static_cast<Bytes>(args.integer("size-kb")) * 1024);
-  params.batch = static_cast<int>(args.integer("batch"));
-  params.testCallAtFraction = args.real("test-at");
-  bench::RunOptions opts;
-  opts.jobs = jobsFrom(args);
-  opts.simJobs = simJobsFrom(args);
-  opts.simAffinity = simAffinityFrom(args);
-  opts.rep = repPolicyFrom(args);
+  const auto params = pwwParamsFrom(args);
+  const auto opts = runOptionsFrom(args);
   const bool withReps = opts.rep.adaptive || opts.rep.reps > 1;
 
   std::vector<std::string> header{"work_interval", "bandwidth_MBps",
@@ -370,7 +332,6 @@ int runPww(const ArgParser& args) {
     xs = bench::presets::workSweep(2);
     runs = bench::runPwwSweepReps(machine, bench::sweepOver(params, xs), opts);
   } else {
-    params.workInterval = static_cast<std::uint64_t>(args.integer("work"));
     xs = {params.workInterval};
     runs = {bench::runPwwPointReps(machine, params, opts)};
   }
@@ -395,11 +356,9 @@ int runPww(const ArgParser& args) {
 int runLatency(const ArgParser& args) {
   const auto machine = machineFrom(args);
   bench::LatencyParams params;
-  params.msgBytes = static_cast<Bytes>(args.integer("size-kb")) * 1024;
-  bench::RunOptions opts;
-  opts.simJobs = simJobsFrom(args);
-  opts.simAffinity = simAffinityFrom(args);
-  opts.rep = repPolicyFrom(args);
+  params.msgBytes = sizeFrom(args);
+  auto opts = runOptionsFrom(args);
+  opts.jobs = 1;  // one point: no sweep threads to budget shard workers for
   const auto run = bench::runLatencyPointReps(machine, params, opts);
   const auto& pt = run.canonical();
   std::printf("ping-pong, machine=%s, size=%s\n", machine.name.c_str(),
@@ -468,10 +427,11 @@ int runCompare(const ArgParser& args) {
 int runAssess(const ArgParser& args) {
   const auto machine = machineFrom(args);
   bench::AssessOptions options;
-  options.msgBytes = static_cast<Bytes>(args.integer("size-kb")) * 1024;
-  options.jobs = jobsFrom(args);
-  options.simJobs = simJobsFrom(args);
-  options.simAffinity = simAffinityFrom(args);
+  options.msgBytes = sizeFrom(args);
+  const auto opts = runOptionsFrom(args);
+  options.jobs = opts.jobs;
+  options.simJobs = opts.simJobs;
+  options.simAffinity = opts.simAffinity;
   const auto a = bench::assessMachine(machine, options);
   std::printf("COMB assessment, machine=%s, size=%s\n\n%s",
               a.machineName.c_str(), fmtBytes(a.msgBytes).c_str(),
@@ -487,11 +447,10 @@ sim::Task<void> statsWorkerDriver(backend::SimProc& env,
 
 int runStats(const ArgParser& args) {
   const auto machine = machineFrom(args);
-  auto params = bench::presets::pollingBase(
-      static_cast<Bytes>(args.integer("size-kb")) * 1024);
-  params.pollInterval = static_cast<std::uint64_t>(args.integer("interval"));
-  backend::SimCluster cluster(machine, 2, simJobsFrom(args),
-                              /*workers=*/0, simAffinityFrom(args));
+  const auto params = pollingParamsFrom(args);
+  const auto opts = runOptionsFrom(args);
+  backend::SimCluster cluster(machine, 2, opts.simJobs, /*workers=*/0,
+                              opts.simAffinity);
   if (args.flag("trace")) cluster.enableTracing();
   bench::PollingPoint point;
   cluster.launch(0, statsWorkerDriver(cluster.proc(0), params, point));
@@ -512,34 +471,22 @@ int runStats(const ArgParser& args) {
 /// the reported numbers, and export (--out) and/or summarize (--summary).
 int runTrace(const ArgParser& args) {
   const auto machine = machineFrom(args);
-  const Bytes size = static_cast<Bytes>(args.integer("size-kb")) * 1024;
   const std::string method = args.str("method");
-
+  auto opts = runOptionsFrom(args);
+  opts.jobs = 1;  // one point: no sweep threads to budget shard workers for
   std::unique_ptr<sim::TraceLog> log;
   report::MachineStats stats;
   std::string auditErr;
   double availability = 0;
   if (method == "pww") {
-    auto params = bench::presets::pwwBase(size);
-    params.batch = static_cast<int>(args.integer("batch"));
-    params.testCallAtFraction = args.real("test-at");
-    params.workInterval = static_cast<std::uint64_t>(args.integer("work"));
-    bench::RunOptions opts;
-    opts.simJobs = simJobsFrom(args);
-  opts.simAffinity = simAffinityFrom(args);
-    auto run = bench::runPwwPointTraced(machine, params, opts);
+    auto run = bench::runPwwPointTraced(machine, pwwParamsFrom(args), opts);
     auditErr = bench::checkPww(bench::auditPww(*run.trace), run.point);
     availability = run.point.availability;
     log = std::move(run.trace);
     stats = std::move(run.stats);
   } else if (method == "polling") {
-    auto params = bench::presets::pollingBase(size);
-    params.queueDepth = static_cast<int>(args.integer("queue"));
-    params.pollInterval = static_cast<std::uint64_t>(args.integer("interval"));
-    bench::RunOptions opts;
-    opts.simJobs = simJobsFrom(args);
-  opts.simAffinity = simAffinityFrom(args);
-    auto run = bench::runPollingPointTraced(machine, params, opts);
+    auto run =
+        bench::runPollingPointTraced(machine, pollingParamsFrom(args), opts);
     auditErr = bench::checkPolling(bench::auditPolling(*run.trace), run.point);
     availability = run.point.availability;
     log = std::move(run.trace);
@@ -550,7 +497,8 @@ int runTrace(const ArgParser& args) {
   }
 
   std::printf("traced %s point, machine=%s, size=%s: availability %.3f\n",
-              method.c_str(), machine.name.c_str(), fmtBytes(size).c_str(),
+              method.c_str(), machine.name.c_str(),
+              fmtBytes(sizeFrom(args)).c_str(),
               availability);
   if (const std::string out = args.str("out"); !out.empty()) {
     std::ofstream f(out);
@@ -612,22 +560,18 @@ void printTailLine(const char* label, const TailSummary& t) {
 /// distributions as ASCII CDFs (or bucket densities).
 int runHist(const ArgParser& args) {
   const auto machine = machineFrom(args);
-  const Bytes size = static_cast<Bytes>(args.integer("size-kb")) * 1024;
   const std::string method = args.str("method");
-  backend::SimCluster cluster(machine, 2, simJobsFrom(args), /*workers=*/0,
-                              simAffinityFrom(args));
+  const auto opts = runOptionsFrom(args);
+  backend::SimCluster cluster(machine, 2, opts.simJobs, /*workers=*/0,
+                              opts.simAffinity);
   bench::PollingPoint pollPoint;
   bench::PwwPoint pwwPoint;
   if (method == "polling") {
-    auto params = bench::presets::pollingBase(size);
-    params.queueDepth = static_cast<int>(args.integer("queue"));
-    params.pollInterval = static_cast<std::uint64_t>(args.integer("interval"));
+    const auto params = pollingParamsFrom(args);
     cluster.launch(0, statsWorkerDriver(cluster.proc(0), params, pollPoint));
     cluster.launch(1, bench::pollingSupport(cluster.proc(1), params));
   } else if (method == "pww") {
-    auto params = bench::presets::pwwBase(size);
-    params.batch = static_cast<int>(args.integer("batch"));
-    params.workInterval = static_cast<std::uint64_t>(args.integer("work"));
+    const auto params = pwwParamsFrom(args);
     cluster.launch(0, histPwwDriver(cluster.proc(0), params, pwwPoint));
     cluster.launch(1, bench::pwwSupport(cluster.proc(1), params));
   } else {
@@ -640,7 +584,7 @@ int runHist(const ArgParser& args) {
 
   std::vector<PlotSeries> series;
   std::printf("%s point, machine=%s, size=%s\n", method.c_str(),
-              machine.name.c_str(), fmtBytes(size).c_str());
+              machine.name.c_str(), fmtBytes(sizeFrom(args)).c_str());
   if (const std::string name = args.str("metric"); !name.empty()) {
     const metrics::LatencySample* sample = snap.latency(name);
     if (sample == nullptr || sample->count == 0) {
