@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
       machine.gm.eagerThreshold = thr;
       auto base = presets::pollingBase(msg);
       const auto pts = runPollingSweep(machine, sweepOver(base, intervals),
-                                       args.runOptions());
+                                       args.opts);
       s.xs.push_back(static_cast<double>(thr) / 1024.0);
       s.ys.push_back(availAtPeak(pts));
     }

@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
     for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
       const auto pattern = patterns[pi];
       const auto runs = runCongestionSweepReps(
-          machine, sweepOver(baseParams(pattern), nodes), args.runOptions());
+          machine, sweepOver(baseParams(pattern), nodes), args.opts);
       const auto points = canonicalPoints(runs);
       const std::string label = std::string(stackLabel) + " " +
                                 congestionPatternName(pattern);
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
     const std::vector<std::uint64_t> dropNodes{64, 128};
     const auto runs = runCongestionSweepReps(
         machine, sweepOver(baseParams(CongestionPattern::Incast), dropNodes),
-        args.runOptions());
+        args.opts);
     const auto points = canonicalPoints(runs);
     archive.addCongestion("congestion/GM incast taildrop", machine, dropNodes,
                           runs);
@@ -245,15 +245,15 @@ int main(int argc, char** argv) {
   {
     auto p = baseParams(CongestionPattern::Incast);
     p.nodes = nodes.front();
-    RunOptions serial = args.runOptions();
+    RunOptions serial = args.opts;
     serial.jobs = 1;
     const auto machine =
         congestedFatTree(backend::TransportKind::Gm, net::Backpressure::Credit);
     const auto a = runCongestionPoint(machine, p, serial);
-    const auto b = runCongestionPoint(machine, p, args.runOptions());
+    const auto b = runCongestionPoint(machine, p, args.opts);
     checks.push_back(report::ShapeCheck{
         strFormat("bit-identical results for --jobs 1 vs --jobs %d",
-                  args.jobs),
+                  args.opts.jobs),
         a.bandwidthBps == b.bandwidthBps && a.makespan == b.makespan &&
             a.switches.creditStalls == b.switches.creditStalls,
         ""});

@@ -84,11 +84,11 @@ int main(int argc, char** argv) {
   // the drop rate itself is the swept axis.
   net::FaultSpec tmpl;
   tmpl.burstLen = 2;
-  if (args.fault) tmpl = *args.fault;
+  if (args.opts.fault) tmpl = *args.opts.fault;
 
-  const auto gm = faultSweep(backend::gmMachine(), drops, tmpl, args.jobs);
+  const auto gm = faultSweep(backend::gmMachine(), drops, tmpl, args.opts.jobs);
   const auto portals =
-      faultSweep(backend::portalsMachine(), drops, tmpl, args.jobs);
+      faultSweep(backend::portalsMachine(), drops, tmpl, args.opts.jobs);
   // Re-run one sweep serially: a parallel schedule must not change bits.
   const auto gmSerial = faultSweep(backend::gmMachine(), drops, tmpl, 1);
 
@@ -164,7 +164,8 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; bitIdentical && i < gm.size(); ++i)
     bitIdentical = samePoint(gm[i], gmSerial[i]);
   checks.push_back(report::ShapeCheck{
-      strFormat("bit-identical results for --jobs 1 vs --jobs %d", args.jobs),
+      strFormat("bit-identical results for --jobs 1 vs --jobs %d",
+                args.opts.jobs),
       bitIdentical, ""});
 
   fig.addSeries(std::move(gmBwS));

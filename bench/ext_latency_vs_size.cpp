@@ -22,9 +22,9 @@ int main(int argc, char** argv) {
   spec.base.reps = 30;
   spec.values = sizes;
   const auto gmRuns =
-      runLatencySweepReps(backend::gmMachine(), spec, args.runOptions());
+      runLatencySweepReps(backend::gmMachine(), spec, args.opts);
   const auto portalsRuns =
-      runLatencySweepReps(backend::portalsMachine(), spec, args.runOptions());
+      runLatencySweepReps(backend::portalsMachine(), spec, args.opts);
   const auto gm = canonicalPoints(gmRuns);
   const auto portals = canonicalPoints(portalsRuns);
 

@@ -39,7 +39,7 @@ std::vector<RepRun<PollingPoint>> noiseSweep(
   return runSweepParallel(
       machine, burstsUs,
       [&](const backend::MachineConfig& m, const std::uint64_t burstUs) {
-        RunOptions opts = args.runOptions();
+        RunOptions opts = args.opts;
         opts.jobs = 1;  // outer sweep already fans out
         host::NoiseSpec spec = tmpl;
         spec.duration = static_cast<double>(burstUs) * 1e-6;
@@ -94,12 +94,12 @@ int main(int argc, char** argv) {
   host::NoiseSpec tmpl;
   tmpl.period = 250e-6;
   tmpl.daemons = 2;
-  if (args.noise) tmpl = *args.noise;
+  if (args.opts.noise) tmpl = *args.opts.noise;
 
   const auto gmReps =
-      noiseSweep(backend::gmMachine(), burstsUs, tmpl, args, args.jobs);
-  const auto ptlReps =
-      noiseSweep(backend::portalsMachine(), burstsUs, tmpl, args, args.jobs);
+      noiseSweep(backend::gmMachine(), burstsUs, tmpl, args, args.opts.jobs);
+  const auto ptlReps = noiseSweep(backend::portalsMachine(), burstsUs, tmpl,
+                                  args, args.opts.jobs);
   // Re-run one sweep serially: a parallel schedule must not change bits —
   // including the latency-distribution fields.
   const auto gmSerial =
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
   checks.push_back(report::ShapeCheck{
       strFormat("bit-identical results (incl. tails) for --jobs 1 vs "
                 "--jobs %d",
-                args.jobs),
+                args.opts.jobs),
       bitIdentical, ""});
 
   FigArchive archive("ext_noise_tail", args);

@@ -44,7 +44,7 @@ std::vector<RepRun<PollingPoint>> progressSweep(
     const backend::MachineConfig& machine, Bytes msgBytes,
     const std::vector<std::uint64_t>& intervals, const FigArgs& args,
     int jobs) {
-  RunOptions opts = args.runOptions();
+  RunOptions opts = args.opts;
   opts.jobs = jobs;
   return runPollingSweepReps(
       machine, sweepOver(presets::pollingBase(msgBytes), intervals), opts);
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
 
   for (auto& s : stacks) {
     s.reps = progressSweep(s.machine, headlineSize, intervals, args,
-                           args.jobs);
+                           args.opts.jobs);
     s.points = canonicalPoints(s.reps);
   }
   const auto& gm = stacks[0].points;
@@ -280,7 +280,7 @@ int main(int argc, char** argv) {
   checks.push_back(report::ShapeCheck{
       strFormat("bit-identical results (incl. tails) for --jobs 1 vs "
                 "--jobs %d",
-                args.jobs),
+                args.opts.jobs),
       bitIdentical, ""});
 
   FigArchive archive("ext_progress_sweep", args);
@@ -293,7 +293,7 @@ int main(int argc, char** argv) {
       archive.addPolling("progress/" + s.label + "/" + sizeLabel(eagerSize),
                          s.machine, intervals,
                          progressSweep(s.machine, eagerSize, intervals, args,
-                                       args.jobs));
+                                       args.opts.jobs));
   }
   archive.write();
 

@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
 
   const auto intervals = presets::pollSweep(args.pointsPerDecade);
   const auto spec = sweepOver(presets::pollingBase(100_KB), intervals);
-  const auto uniRuns = runPollingSweepReps(uni, spec, args.runOptions());
-  const auto smpRuns = runPollingSweepReps(smp, spec, args.runOptions());
+  const auto uniRuns = runPollingSweepReps(uni, spec, args.opts);
+  const auto smpRuns = runPollingSweepReps(smp, spec, args.opts);
   const auto uniPts = canonicalPoints(uniRuns);
   const auto smpPts = canonicalPoints(smpRuns);
 

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
   const auto machine = backend::portalsMachine();
   const auto fam = runPollingFamily(machine, presets::paperMessageSizes(),
-                                    args.pointsPerDecade, args.runOptions());
+                                    args.pointsPerDecade, args.opts);
 
   report::Figure fig("fig04",
                      "Polling Method: CPU Availability (Portals)",

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
 
   const auto machine = backend::portalsMachine();
   const auto fam = runPollingFamily(machine, presets::paperMessageSizes(),
-                                    args.pointsPerDecade, args.runOptions());
+                                    args.pointsPerDecade, args.opts);
 
   report::Figure fig("fig05", "Polling Method: Bandwidth (Portals)",
                      "poll_interval_iters", "bandwidth_MBps");

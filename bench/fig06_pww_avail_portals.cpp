@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
   const auto machine = backend::portalsMachine();
   const auto fam = runPwwFamily(machine, presets::paperMessageSizes(),
-                                args.pointsPerDecade, -1.0, args.runOptions());
+                                args.pointsPerDecade, -1.0, args.opts);
 
   report::Figure fig("fig06", "PWW Method: CPU Availability (Portals)",
                      "work_interval_iters", "cpu_availability");

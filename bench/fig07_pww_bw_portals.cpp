@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
 
   const auto machine = backend::portalsMachine();
   const auto fam = runPwwFamily(machine, presets::paperMessageSizes(),
-                                args.pointsPerDecade, -1.0, args.runOptions());
+                                args.pointsPerDecade, -1.0, args.opts);
 
   report::Figure fig("fig07", "PWW Method: Bandwidth (Portals)",
                      "work_interval_iters", "bandwidth_MBps");

@@ -18,9 +18,9 @@ int main(int argc, char** argv) {
   const auto intervals = presets::pollSweep(args.pointsPerDecade);
   const auto spec = sweepOver(presets::pollingBase(100_KB), intervals);
   const auto gmRuns =
-      runPollingSweepReps(backend::gmMachine(), spec, args.runOptions());
+      runPollingSweepReps(backend::gmMachine(), spec, args.opts);
   const auto portalsRuns =
-      runPollingSweepReps(backend::portalsMachine(), spec, args.runOptions());
+      runPollingSweepReps(backend::portalsMachine(), spec, args.opts);
   const auto gm = canonicalPoints(gmRuns);
   const auto portals = canonicalPoints(portalsRuns);
 

@@ -17,9 +17,9 @@ int main(int argc, char** argv) {
   const auto intervals = presets::workSweep(args.pointsPerDecade);
   const auto spec = sweepOver(presets::pwwBase(100_KB), intervals);
   const auto gmRuns =
-      runPwwSweepReps(backend::gmMachine(), spec, args.runOptions());
+      runPwwSweepReps(backend::gmMachine(), spec, args.opts);
   const auto portalsRuns =
-      runPwwSweepReps(backend::portalsMachine(), spec, args.runOptions());
+      runPwwSweepReps(backend::portalsMachine(), spec, args.opts);
   const auto gm = canonicalPoints(gmRuns);
   const auto portals = canonicalPoints(portalsRuns);
 

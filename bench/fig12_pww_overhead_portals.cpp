@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const auto runs =
       runPwwSweepReps(backend::portalsMachine(),
                       sweepOver(presets::pwwBase(100_KB), intervals),
-                      args.runOptions());
+                      args.opts);
   const auto pts = canonicalPoints(runs);
 
   report::Figure fig("fig12", "PWW Method: CPU Overhead (Portals)",

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   const auto runs =
       runPwwSweepReps(backend::gmMachine(),
                       sweepOver(presets::pwwBase(100_KB), intervals),
-                      args.runOptions());
+                      args.opts);
   const auto pts = canonicalPoints(runs);
 
   report::Figure fig("fig13", "PWW Method: CPU Overhead (GM)",

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
 
   const auto machine = backend::gmMachine();
   const auto fam = runPollingFamily(machine, presets::paperMessageSizes(),
-                                    args.pointsPerDecade + 1, args.runOptions());
+                                    args.pointsPerDecade + 1, args.opts);
 
   report::Figure fig("fig14",
                      "Polling Method: Bandwidth vs CPU Availability (GM)",

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
 
   const auto machine = backend::portalsMachine();
   const auto fam = runPollingFamily(machine, presets::paperMessageSizes(),
-                                    args.pointsPerDecade + 1, args.runOptions());
+                                    args.pointsPerDecade + 1, args.opts);
 
   report::Figure fig(
       "fig15", "Polling Method: Bandwidth vs CPU Availability (Portals)",

@@ -22,10 +22,10 @@ int main(int argc, char** argv) {
   const auto pollRuns = runPollingSweepReps(
       backend::gmMachine(),
       sweepOver(presets::pollingBase(100_KB), pollIntervals),
-      args.runOptions());
+      args.opts);
   const auto pwwRuns = runPwwSweepReps(
       backend::gmMachine(),
-      sweepOver(presets::pwwBase(100_KB), workIntervals), args.runOptions());
+      sweepOver(presets::pwwBase(100_KB), workIntervals), args.opts);
   const auto poll = canonicalPoints(pollRuns);
   const auto pww = canonicalPoints(pwwRuns);
 

@@ -22,17 +22,17 @@ int main(int argc, char** argv) {
   const auto pollRuns = runPollingSweepReps(
       backend::gmMachine(),
       sweepOver(presets::pollingBase(100_KB), pollIntervals),
-      args.runOptions());
+      args.opts);
   const auto workIntervals = presets::workSweep(args.pointsPerDecade + 1);
   const auto pwwRuns =
       runPwwSweepReps(backend::gmMachine(),
                       sweepOver(presets::pwwBase(100_KB), workIntervals),
-                      args.runOptions());
+                      args.opts);
   auto testBase = presets::pwwBase(100_KB);
   testBase.testCallAtFraction = 0.1;  // one MPI_Test early in the work phase
   const auto pwwTestRuns = runPwwSweepReps(backend::gmMachine(),
                                            sweepOver(testBase, workIntervals),
-                                           args.runOptions());
+                                           args.opts);
   const auto poll = canonicalPoints(pollRuns);
   const auto pww = canonicalPoints(pwwRuns);
   const auto pwwTest = canonicalPoints(pwwTestRuns);

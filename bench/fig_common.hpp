@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,10 +24,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/string_util.hpp"
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
-#include "host/noise.hpp"
-#include "net/fault.hpp"
 #include "report/expectations.hpp"
 #include "report/figure.hpp"
 #include "report/trace_export.hpp"
@@ -37,58 +33,28 @@ namespace comb::bench {
 
 struct FigArgs {
   int pointsPerDecade = 2;
-  /// Worker threads for sweep points; defaults to all hardware threads.
-  /// Results are bit-identical for any value (per-point isolation).
-  int jobs = 1;
-  /// Simulator-core shards per cluster (--sim-jobs). Part of the run's
-  /// configuration identity: 1 is the classic serial core; N > 1 shards
-  /// the event queue (deterministic for a fixed value, but a *different*
-  /// configuration — archives record it so `comb compare` can flag
-  /// cross-configuration comparisons).
-  int simJobs = 1;
-  /// Shard-worker pinning policy (--sim-affinity). Wall time only —
-  /// results are identical across policies — but stamped into archives.
-  sim::AffinityPolicy simAffinity = sim::AffinityPolicy::None;
-  /// Fault model override from --fault (per-point results stay
-  /// bit-reproducible: link fault streams are seeded per link name).
-  std::optional<net::FaultSpec> fault;
-  /// OS-noise override from --noise (bit-reproducible: daemon schedules
-  /// are seeded per (seed, node, cpu)).
-  std::optional<host::NoiseSpec> noise;
+  /// How every sweep runs: the shared run options (comb/runner.hpp,
+  /// addRunOptions). --jobs defaults to all hardware threads; results are
+  /// bit-identical for any value. Figures always plot the canonical rep-0
+  /// point; extra reps only feed the result archive.
+  RunOptions opts;
   bool csv = false;
   std::string outDir = "bench_out";
   /// When non-empty (--trace FILE): re-run one representative sweep point
   /// with full tracing, write the Chrome trace JSON here, and audit the
   /// timeline against the reported numbers.
   std::string traceFile;
-  /// Repetition policy (--reps / --reps-auto / --ci-target / --max-reps /
-  /// --seed). Figures always plot the canonical rep-0 point; extra reps
-  /// only feed the result archive.
-  RepPolicy rep;
   /// When non-empty (--archive DIR): write a result archive (per-rep
   /// samples + provenance) next to the CSVs for `comb compare`.
   std::string archiveDir;
   bool parsedOk = true;  ///< false => exit with exitCode without running
   int exitCode = 0;      ///< 0 after --help, 2 on invalid arguments
-
-  /// The sweep-execution options these args describe.
-  RunOptions runOptions() const {
-    RunOptions opts;
-    opts.jobs = jobs;
-    opts.simJobs = simJobs;
-    opts.simAffinity = simAffinity;
-    opts.fault = fault;
-    opts.noise = noise;
-    opts.rep = rep;
-    return opts;
-  }
 };
 
 /// Parse and *validate* the common figure-bench arguments. Bad values
-/// (non-numeric, --points-per-decade < 1, --jobs < 1, --sim-jobs < 1,
-/// unknown --sim-affinity, malformed --fault)
-/// are reported on stderr at parse time with parsedOk=false / exitCode=2,
-/// instead of failing later inside the sweep.
+/// (non-numeric, --points-per-decade < 1, or any run option that
+/// runOptionsFrom rejects) are reported on stderr at parse time with
+/// parsedOk=false / exitCode=2, instead of failing later inside the sweep.
 inline FigArgs parseFigArgs(int argc, const char* const* argv,
                             const std::string& name,
                             const std::string& description) {
@@ -96,47 +62,12 @@ inline FigArgs parseFigArgs(int argc, const char* const* argv,
   parser.addFlag("csv", "also write the series as CSV");
   parser.addOption("out", "directory for CSV output", "bench_out");
   parser.addOption("points-per-decade", "sweep density on log axes", "2");
-  parser.addOption("jobs",
-                   "worker threads for sweep points (results are "
-                   "bit-identical for any value)",
-                   std::to_string(hardwareJobs()));
-  parser.addOption("sim-jobs",
-                   "simulator-core shards per cluster (1 = classic serial "
-                   "core; N > 1 is a distinct, deterministic configuration "
-                   "recorded in archives)",
-                   "1");
-  parser.addOption("sim-affinity",
-                   "shard-worker pinning: none | compact | scatter (wall "
-                   "time only — results are identical across policies)",
-                   "none");
-  parser.addOption("fault",
-                   "inject link faults, e.g. drop=0.01,burst=4,seed=7 "
-                   "(keys: drop, burst, corrupt, jitter_us, seed)",
-                   "");
-  parser.addOption("noise",
-                   "inject OS noise on every host CPU, e.g. "
-                   "period_us=250,duration_us=20 (keys: period_us, "
-                   "duration_us, jitter, daemons, coalesce_us, seed)",
-                   "");
   parser.addOption("trace",
                    "write a Chrome trace JSON of one representative point "
                    "to FILE and audit it against the reported stats",
                    "");
-  parser.addOption("reps", "repetitions per measurement point", "1");
-  parser.addFlag("reps-auto",
-                 "adaptive reps: run until the relative CI half-width of "
-                 "the bandwidth reaches --ci-target (or --max-reps)");
-  parser.addOption("ci-target", "relative CI half-width to stop at", "0.05");
-  parser.addOption("max-reps", "rep budget for --reps-auto", "20");
-  parser.addOption("seed",
-                   "root seed for per-rep fault streams + bootstrap",
-                   "49227");
-  parser.addOption("archive",
-                   "write a result archive (per-rep samples, provenance) "
-                   "into DIR for `comb compare`",
-                   "");
+  addRunOptions(parser);
   FigArgs args;
-  args.jobs = hardwareJobs();
   try {
     if (!parser.parse(argc, argv)) {
       args.parsedOk = false;  // --help printed; exit 0
@@ -147,28 +78,10 @@ inline FigArgs parseFigArgs(int argc, const char* const* argv,
     if (args.pointsPerDecade < 1)
       throw ConfigError("--points-per-decade must be >= 1, got " +
                         parser.str("points-per-decade"));
-    args.jobs = static_cast<int>(parser.integer("jobs"));
-    if (args.jobs < 1)
-      throw ConfigError("--jobs must be >= 1, got " + parser.str("jobs"));
-    args.simJobs = static_cast<int>(parser.integer("sim-jobs"));
-    if (args.simJobs < 1)
-      throw ConfigError("--sim-jobs must be >= 1, got " +
-                        parser.str("sim-jobs"));
-    args.simAffinity = sim::parseAffinityPolicy(parser.str("sim-affinity"));
-    if (const auto spec = parser.str("fault"); !spec.empty())
-      args.fault = net::parseFaultSpec(spec);
-    if (const auto spec = parser.str("noise"); !spec.empty())
-      args.noise = host::parseNoiseSpec(spec);
+    args.opts = runOptionsFrom(parser);
     args.csv = parser.flag("csv");
     args.outDir = parser.str("out");
     args.traceFile = parser.str("trace");
-    args.rep.reps = static_cast<int>(parser.integer("reps"));
-    args.rep.adaptive = parser.flag("reps-auto");
-    args.rep.maxReps = static_cast<int>(parser.integer("max-reps"));
-    args.rep.minReps = std::min(args.rep.minReps, args.rep.maxReps);
-    args.rep.ciTarget = parser.real("ci-target");
-    args.rep.seed = static_cast<std::uint64_t>(parser.integer("seed"));
-    validateRepPolicy(args.rep);
     args.archiveDir = parser.str("archive");
     if (!args.traceFile.empty()) {
       // Fail at parse time, not after minutes of sweeping: the trace file
@@ -227,8 +140,8 @@ class FigArchive {
  public:
   FigArchive(const std::string& bench, const FigArgs& args)
       : dir_(args.archiveDir),
-        archive_(makeArchive(bench, args.rep, args.simJobs,
-                             args.simAffinity)) {}
+        archive_(makeArchive(bench, args.opts.rep, args.opts.simJobs,
+                             args.opts.simAffinity)) {}
 
   bool enabled() const { return !dir_.empty(); }
 
@@ -390,7 +303,7 @@ bool finishTrace(const TracedRun<Point>& run, const std::string& auditErr,
 inline bool maybeTracePww(const backend::MachineConfig& machine,
                           const PwwParams& params, const FigArgs& args) {
   if (args.traceFile.empty()) return true;
-  const auto run = runPwwPointTraced(machine, params, args.runOptions());
+  const auto run = runPwwPointTraced(machine, params, args.opts);
   const auto audit = auditPww(*run.trace, 0);
   return detail::finishTrace(run, checkPww(audit, run.point),
                              audit.availability, args);
@@ -401,7 +314,7 @@ inline bool maybeTracePolling(const backend::MachineConfig& machine,
                               const PollingParams& params,
                               const FigArgs& args) {
   if (args.traceFile.empty()) return true;
-  const auto run = runPollingPointTraced(machine, params, args.runOptions());
+  const auto run = runPollingPointTraced(machine, params, args.opts);
   const auto audit = auditPolling(*run.trace, 0);
   return detail::finishTrace(run, checkPolling(audit, run.point),
                              audit.availability, args);

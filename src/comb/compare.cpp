@@ -117,6 +117,36 @@ CompareRow compareSamples(const std::string& sweepId, double x,
   return row;
 }
 
+/// One note per provenance label whose rows the compare policy flags, in
+/// table order. A label's note shows every row of the label, so the
+/// lookahead and its source read as one "window bounds differ" note.
+void provenanceNotes(const report::ArchiveProvenance& a,
+                     const report::ArchiveProvenance& b,
+                     std::vector<std::string>& notes) {
+  const auto fields = report::provenanceFields();
+  for (auto first = fields.begin(); first != fields.end(); ++first) {
+    const std::string_view label = first->label;
+    const auto sameLabel = [&](const report::ProvenanceField& f) {
+      return label == f.label;
+    };
+    if (label.empty() || std::any_of(fields.begin(), first, sameLabel))
+      continue;
+    bool noted = false;
+    std::string was, now;
+    for (auto f = first; f != fields.end(); ++f) {
+      if (!sameLabel(*f)) continue;
+      noted = noted || f->noted(a, b);
+      was += f->before + f->show(a) + f->after;
+      now += f->before + f->show(b) + f->after;
+    }
+    if (!noted) continue;
+    std::string note = std::string(label) + ": baseline " + was +
+                       ", candidate " + now;
+    if (*first->consequence) note += std::string(" — ") + first->consequence;
+    notes.push_back(std::move(note));
+  }
+}
+
 void tally(CompareReport& report) {
   report.regressed = report.improved = 0;
   for (const auto& row : report.rows) {
@@ -134,39 +164,12 @@ CompareReport compareArchives(const report::Archive& baseline,
   COMB_REQUIRE(opts.alpha > 0.0 && opts.alpha < 1.0,
                "--alpha outside (0,1)");
   CompareReport report;
-  if (baseline.provenance.gitSha != candidate.provenance.gitSha)
-    report.notes.push_back("builds differ: baseline git " +
-                           baseline.provenance.gitSha + ", candidate git " +
-                           candidate.provenance.gitSha);
+  provenanceNotes(baseline.provenance, candidate.provenance, report.notes);
   if (baseline.seed != candidate.seed)
     report.notes.push_back(strFormat(
         "seeds differ: baseline %llu, candidate %llu",
         (unsigned long long)baseline.seed,
         (unsigned long long)candidate.seed));
-  if (baseline.provenance.simJobs != candidate.provenance.simJobs)
-    report.notes.push_back(strFormat(
-        "core configurations differ: baseline --sim-jobs %d, candidate "
-        "--sim-jobs %d — the shard count is part of the run's identity, so "
-        "deltas may reflect the configuration, not the code",
-        baseline.provenance.simJobs, candidate.provenance.simJobs));
-  if (baseline.provenance.lookaheadSource !=
-          candidate.provenance.lookaheadSource ||
-      baseline.provenance.lookahead != candidate.provenance.lookahead)
-    report.notes.push_back(strFormat(
-        "window bounds differ: baseline %s (certified lookahead %g s), "
-        "candidate %s (%g s) — sharded results are a pure function of the "
-        "lookahead, so deltas may reflect the configuration, not the code",
-        baseline.provenance.lookaheadSource.c_str(),
-        baseline.provenance.lookahead,
-        candidate.provenance.lookaheadSource.c_str(),
-        candidate.provenance.lookahead));
-  if (baseline.provenance.simAffinity != candidate.provenance.simAffinity)
-    report.notes.push_back(
-        "worker affinity differs: baseline --sim-affinity " +
-        baseline.provenance.simAffinity + ", candidate --sim-affinity " +
-        candidate.provenance.simAffinity +
-        " — wall-time only (results are identical across policies), but "
-        "timing-based metrics may not be comparable");
   if (baseline.rep.reps != candidate.rep.reps ||
       baseline.rep.adaptive != candidate.rep.adaptive)
     report.notes.push_back(strFormat(
@@ -177,23 +180,6 @@ CompareReport compareArchives(const report::Archive& baseline,
         baseline.rep.adaptive ? baseline.rep.maxReps : baseline.rep.reps,
         candidate.rep.adaptive ? "adaptive up to " : "",
         candidate.rep.adaptive ? candidate.rep.maxReps : candidate.rep.reps));
-  if (!baseline.provenance.tailPercentiles.empty() &&
-      !candidate.provenance.tailPercentiles.empty() &&
-      baseline.provenance.tailPercentiles !=
-          candidate.provenance.tailPercentiles)
-    report.notes.push_back(
-        "tail percentile bases differ: baseline {" +
-        baseline.provenance.tailPercentiles + "}, candidate {" +
-        candidate.provenance.tailPercentiles +
-        "} — same-named tail metrics may summarize different quantiles");
-  if (!baseline.provenance.stack.empty() &&
-      !candidate.provenance.stack.empty() &&
-      baseline.provenance.stack != candidate.provenance.stack)
-    report.notes.push_back(
-        "transport stacks differ: baseline '" + baseline.provenance.stack +
-        "', candidate '" + candidate.provenance.stack +
-        "' — this is a cross-configuration comparison; deltas reflect the "
-        "stack, not a code regression");
 
   std::map<std::string, const report::ArchiveSweep*> bSweeps;
   for (const auto& s : candidate.sweeps) bSweeps.emplace(s.id, &s);

@@ -6,6 +6,7 @@
 #include <atomic>
 
 #include "backend/sim_cluster.hpp"
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "comb/polling.hpp"
@@ -87,6 +88,71 @@ void validateRepPolicy(const RepPolicy& policy) {
   COMB_REQUIRE(policy.ciTarget > 0.0, "--ci-target must be > 0");
   COMB_REQUIRE(policy.ciLevel > 0.0 && policy.ciLevel < 1.0,
                "CI level outside (0,1)");
+}
+
+void addRunOptions(ArgParser& parser) {
+  parser.addOption("jobs",
+                   "worker threads for sweep points (results are "
+                   "bit-identical for any value)",
+                   std::to_string(hardwareJobs()));
+  parser.addOption("sim-jobs",
+                   "simulator-core shards per cluster (1 = classic serial "
+                   "core; N > 1 is a distinct, deterministic configuration "
+                   "recorded in archives)",
+                   "1");
+  parser.addOption("sim-affinity",
+                   "shard-worker pinning: none | compact | scatter (wall "
+                   "time only — results are identical across policies)",
+                   "none");
+  parser.addOption("fault",
+                   "inject link faults, e.g. drop=0.01,burst=4,seed=7 "
+                   "(keys: drop, burst, corrupt, jitter_us, seed)",
+                   "");
+  parser.addOption("noise",
+                   "inject OS noise on every host CPU, e.g. "
+                   "period_us=250,duration_us=20 (keys: period_us, "
+                   "duration_us, jitter, daemons, coalesce_us, seed)",
+                   "");
+  parser.addOption("reps", "repetitions per measurement point", "1");
+  parser.addFlag("reps-auto",
+                 "adaptive reps: run until the relative CI half-width of "
+                 "the bandwidth reaches --ci-target (or --max-reps)");
+  parser.addOption("ci-target", "relative CI half-width to stop at", "0.05");
+  parser.addOption("max-reps", "rep budget for --reps-auto", "20");
+  parser.addOption("seed",
+                   "root seed for per-rep fault streams + bootstrap",
+                   "49227");
+  parser.addOption("archive",
+                   "write a result archive (per-rep samples, provenance) "
+                   "into DIR for `comb compare`",
+                   "");
+}
+
+RunOptions runOptionsFrom(const ArgParser& parser) {
+  const auto atLeastOne = [&](const std::string& name) {
+    const std::int64_t v = parser.integer(name);
+    if (v < 1)
+      throw ConfigError("--" + name + " must be >= 1, got " +
+                        parser.str(name));
+    return static_cast<int>(v);
+  };
+  RunOptions opts;
+  opts.jobs = atLeastOne("jobs");
+  opts.simJobs = atLeastOne("sim-jobs");
+  opts.simAffinity = sim::parseAffinityPolicy(parser.str("sim-affinity"));
+  if (const auto spec = parser.str("fault"); !spec.empty())
+    opts.fault = net::parseFaultSpec(spec);
+  if (const auto spec = parser.str("noise"); !spec.empty())
+    opts.noise = host::parseNoiseSpec(spec);
+  RepPolicy& rep = opts.rep;
+  rep.reps = static_cast<int>(parser.integer("reps"));
+  rep.adaptive = parser.flag("reps-auto");
+  rep.maxReps = static_cast<int>(parser.integer("max-reps"));
+  rep.minReps = std::min(rep.minReps, rep.maxReps);
+  rep.ciTarget = parser.real("ci-target");
+  rep.seed = static_cast<std::uint64_t>(parser.integer("seed"));
+  validateRepPolicy(rep);
+  return opts;
 }
 
 std::uint64_t repSeed(std::uint64_t root, int rep) {

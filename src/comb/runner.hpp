@@ -33,6 +33,10 @@
 #include "sim/executor.hpp"
 #include "sim/tracelog.hpp"
 
+namespace comb {
+class ArgParser;
+}
+
 namespace comb::bench {
 
 /// Repetition policy for a measurement point. Repetitions exist for the
@@ -104,6 +108,19 @@ struct RunOptions {
   /// single-shot runners below always measure exactly once).
   RepPolicy rep;
 };
+
+/// The run-options schema both front ends (figure benches and `comb`)
+/// share: declares --jobs, --sim-jobs, --sim-affinity, --fault, --noise,
+/// the rep options (--reps, --reps-auto, --ci-target, --max-reps, --seed)
+/// and --archive, with their help text and defaults. --archive is an
+/// output directory, not a RunOptions field; front ends read it directly.
+void addRunOptions(ArgParser& parser);
+
+/// The validated RunOptions a parser set up by addRunOptions describes.
+/// Throws comb::ConfigError on --jobs or --sim-jobs below 1 (--jobs
+/// defaults to all hardware threads), unknown --sim-affinity policies,
+/// malformed --fault / --noise specs and out-of-range rep knobs.
+RunOptions runOptionsFrom(const ArgParser& parser);
 
 /// Thread-budget mediation between the sweep level (opts.jobs clusters
 /// at once) and the core level (opts.simJobs worker threads inside each

@@ -35,40 +35,6 @@ void Histogram::clear() {
   underflow_ = overflow_ = total_ = 0;
 }
 
-bool Histogram::sameLayout(const Histogram& other) const {
-  return lo_ == other.lo_ && hi_ == other.hi_ &&
-         counts_.size() == other.counts_.size();
-}
-
-void Histogram::merge(const Histogram& other) {
-  underflow_ += other.underflow_;
-  overflow_ += other.overflow_;
-  total_ += other.total_;
-  if (sameLayout(other)) {
-    for (std::size_t b = 0; b < counts_.size(); ++b)
-      counts_[b] += other.counts_[b];
-    return;
-  }
-  // Rebucket: midpoint attribution keeps the merge deterministic and
-  // count-preserving; resolution is bounded by the coarser layout.
-  for (std::size_t b = 0; b < other.counts_.size(); ++b) {
-    const std::size_t c = other.counts_[b];
-    if (c == 0) continue;
-    const double mid = 0.5 * (other.binLow(b) + other.binHigh(b));
-    if (mid < lo_) {
-      underflow_ += c;
-    } else if (mid >= hi_) {
-      overflow_ += c;
-    } else {
-      const double t = (mid - lo_) / (hi_ - lo_);
-      auto bin =
-          static_cast<std::size_t>(t * static_cast<double>(counts_.size()));
-      bin = std::min(bin, counts_.size() - 1);
-      counts_[bin] += c;
-    }
-  }
-}
-
 double Histogram::binLow(std::size_t bin) const {
   COMB_ASSERT(bin < counts_.size(), "histogram bin out of range");
   return lo_ + (hi_ - lo_) * static_cast<double>(bin) /

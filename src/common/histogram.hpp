@@ -28,18 +28,6 @@ class Histogram {
 
   double lo() const { return lo_; }
   double hi() const { return hi_; }
-  /// True when `other` has the same [lo, hi) range and bin count, i.e.
-  /// bin-wise addition is meaningful.
-  bool sameLayout(const Histogram& other) const;
-
-  /// Fold `other` into this histogram. Identical layouts add bin-wise
-  /// (exact). Mismatched layouts are rebucketed: each source bin's count
-  /// is attributed to the destination bin containing the source bin's
-  /// midpoint (deterministic, count-preserving; source samples outside
-  /// this range land in under/overflow). Under/overflow and totals
-  /// always accumulate.
-  void merge(const Histogram& other);
-
   /// Render a horizontal bar chart.
   std::string str(std::size_t maxBarWidth = 40) const;
 

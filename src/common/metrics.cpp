@@ -137,8 +137,12 @@ Counter& Registry::counter(std::string_view name, MergeKind merge) {
 Histogram& Registry::histogram(std::string_view name, double lo, double hi,
                                std::size_t bins) {
   COMB_REQUIRE(!name.empty(), "metric name must not be empty");
-  if (const auto it = histograms_.find(name); it != histograms_.end())
+  if (const auto it = histograms_.find(name); it != histograms_.end()) {
+    const Histogram& h = *it->second;
+    COMB_REQUIRE(h.lo() == lo && h.hi() == hi && h.bins() == bins,
+                 "histogram re-registered with a different layout");
     return *it->second;
+  }
   auto h = std::make_unique<Histogram>(lo, hi, bins);
   return *histograms_.emplace(std::string(name), std::move(h)).first->second;
 }
@@ -231,35 +235,17 @@ void foldCounter(CounterSample& acc, const CounterSample& c) {
 }
 
 void foldHistogram(HistogramSample& acc, const HistogramSample& h) {
+  // Same-named histograms share one layout (Registry::histogram pins it
+  // per name, and every shard registers a name with the same layout), so
+  // the merge is bin-wise and exact.
+  COMB_REQUIRE(acc.lo == h.lo && acc.hi == h.hi &&
+                   acc.counts.size() == h.counts.size(),
+               "merging histogram '" + h.name + "' with mismatched layouts");
   acc.underflow += h.underflow;
   acc.overflow += h.overflow;
   acc.total += h.total;
-  if (acc.lo == h.lo && acc.hi == h.hi &&
-      acc.counts.size() == h.counts.size()) {
-    for (std::size_t i = 0; i < h.counts.size(); ++i)
-      acc.counts[i] += h.counts[i];
-    return;
-  }
-  // Mismatched layouts: rebucket into the first-seen layout by bin
-  // midpoint, mirroring Histogram::merge. Count-preserving and
-  // deterministic; resolution is bounded by the coarser layout.
-  const double srcWidth = (h.hi - h.lo) / static_cast<double>(h.counts.size());
-  for (std::size_t i = 0; i < h.counts.size(); ++i) {
-    const std::size_t c = h.counts[i];
-    if (c == 0) continue;
-    const double mid = h.lo + srcWidth * (static_cast<double>(i) + 0.5);
-    if (mid < acc.lo) {
-      acc.underflow += c;
-    } else if (mid >= acc.hi) {
-      acc.overflow += c;
-    } else {
-      const double t = (mid - acc.lo) / (acc.hi - acc.lo);
-      auto bin =
-          static_cast<std::size_t>(t * static_cast<double>(acc.counts.size()));
-      bin = std::min(bin, acc.counts.size() - 1);
-      acc.counts[bin] += c;
-    }
-  }
+  for (std::size_t i = 0; i < h.counts.size(); ++i)
+    acc.counts[i] += h.counts[i];
 }
 
 template <typename Sample>

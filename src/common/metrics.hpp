@@ -160,7 +160,8 @@ class Registry {
   /// `merge` is fixed by the first registration (re-registering with a
   /// different kind is rejected).
   Counter& counter(std::string_view name, MergeKind merge = MergeKind::Sum);
-  /// Find-or-create; bin layout is fixed by the first registration.
+  /// Find-or-create; bin layout is fixed by the first registration
+  /// (re-registering with a different layout is rejected).
   Histogram& histogram(std::string_view name, double lo, double hi,
                        std::size_t bins);
   /// Find-or-create. All recorders share the global log-bucket layout,
@@ -188,9 +189,8 @@ class Registry {
 /// instruments by exact name. Counters combine by their MergeKind (Sum
 /// counters add, Max counters take the largest; a name appearing in
 /// several inputs must carry the same kind in all of them). Histograms
-/// with identical layouts combine bin-wise; mismatched layouts are
-/// rebucketed into the first-seen layout by midpoint attribution
-/// (count-preserving, resolution bounded by the coarser layout).
+/// combine bin-wise; a name appearing in several inputs must carry the
+/// same layout in all of them (ConfigError otherwise).
 /// Latency samples share one global layout and always add element-wise,
 /// the stored range widening to cover every part. Each part must list
 /// every instrument kind sorted by unique name, as Registry::snapshot

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -33,6 +34,43 @@ namespace {
 
 /// Round-trip-exact double rendering (JSON has no float width limit).
 std::string num(double v) { return strFormat("%.17g", v); }
+
+using P = ArchiveProvenance;
+constexpr auto kSilent = ProvenanceCompare::Silent;
+constexpr auto kDiffers = ProvenanceCompare::NoteIfDiffers;
+constexpr auto kBothSet = ProvenanceCompare::NoteIfBothSet;
+constexpr const char* kWindowBounds = "window bounds differ";
+
+// clang-format off
+constexpr ProvenanceField kProvenanceFields[] = {
+  // key, member, required, compare policy, note label, value before/after,
+  // consequence
+  {"suite", &P::suite, true, kSilent, "", "", "", ""},
+  {"git_sha", &P::gitSha, true, kDiffers, "builds differ", "git ", "", ""},
+  {"build_flags", &P::buildFlags, true, kSilent, "", "", "", ""},
+  {"sim_jobs", &P::simJobs, false, kDiffers, "core configurations differ",
+   "--sim-jobs ", "",
+   "the shard count is part of the run's identity, so deltas may reflect "
+   "the configuration, not the code"},
+  {"lookahead", &P::lookahead, false, kDiffers, kWindowBounds,
+   "certified lookahead ", " s",
+   "sharded results are a pure function of the lookahead, so deltas may "
+   "reflect the configuration, not the code"},
+  {"lookahead_source", &P::lookaheadSource, false, kDiffers, kWindowBounds,
+   " (", ")", ""},
+  {"sim_affinity", &P::simAffinity, false, kDiffers,
+   "worker affinity differs", "--sim-affinity ", "",
+   "wall-time only (results are identical across policies), but "
+   "timing-based metrics may not be comparable"},
+  {"shard_imbalance", &P::shardImbalance, false, kSilent, "", "", "", ""},
+  {"tail_percentiles", &P::tailPercentiles, false, kBothSet,
+   "tail percentile bases differ", "{", "}",
+   "same-named tail metrics may summarize different quantiles"},
+  {"stack", &P::stack, false, kBothSet, "transport stacks differ", "'", "'",
+   "this is a cross-configuration comparison; deltas reflect the stack, "
+   "not a code regression"},
+};
+// clang-format on
 
 void writeMetric(std::ostream& out, const ArchiveMetric& m,
                  const char* indent) {
@@ -71,26 +109,63 @@ ArchiveMetric parseMetric(const json::Value& v) {
 
 }  // namespace
 
+std::span<const ProvenanceField> provenanceFields() {
+  return kProvenanceFields;
+}
+
+std::string ProvenanceField::show(const ArchiveProvenance& p) const {
+  return std::visit(
+      [&](auto m) -> std::string {
+        using T = std::remove_cvref_t<decltype(p.*m)>;
+        if constexpr (std::is_same_v<T, std::string>)
+          return p.*m;
+        else if constexpr (std::is_same_v<T, int>)
+          return std::to_string(p.*m);
+        else
+          return strFormat("%g", p.*m);
+      },
+      member);
+}
+
+bool ProvenanceField::noted(const ArchiveProvenance& a,
+                            const ArchiveProvenance& b) const {
+  const bool differs =
+      std::visit([&](auto m) { return a.*m != b.*m; }, member);
+  switch (compare) {
+    case ProvenanceCompare::Silent:
+      return false;
+    case ProvenanceCompare::NoteIfDiffers:
+      return differs;
+    case ProvenanceCompare::NoteIfBothSet:
+      return differs && !show(a).empty() && !show(b).empty();
+  }
+  return false;
+}
+
 void writeArchive(std::ostream& out, const Archive& archive) {
   out << "{\n";
   out << "  \"comb_archive_version\": " << archive.version << ",\n";
   out << "  \"bench\": \"" << json::escape(archive.bench) << "\",\n";
   out << "  \"seed\": " << archive.seed << ",\n";
-  out << "  \"provenance\": {\"suite\": \""
-      << json::escape(archive.provenance.suite) << "\", \"git_sha\": \""
-      << json::escape(archive.provenance.gitSha) << "\", \"build_flags\": \""
-      << json::escape(archive.provenance.buildFlags)
-      << "\", \"sim_jobs\": " << archive.provenance.simJobs
-      << ", \"lookahead\": " << num(archive.provenance.lookahead)
-      << ", \"lookahead_source\": \""
-      << json::escape(archive.provenance.lookaheadSource)
-      << "\", \"sim_affinity\": \""
-      << json::escape(archive.provenance.simAffinity)
-      << "\", \"shard_imbalance\": " << num(archive.provenance.shardImbalance)
-      << ", \"tail_percentiles\": \""
-      << json::escape(archive.provenance.tailPercentiles)
-      << "\", \"stack\": \"" << json::escape(archive.provenance.stack)
-      << "\"},\n";
+  out << "  \"provenance\": {";
+  const char* sep = "";
+  for (const ProvenanceField& f : provenanceFields()) {
+    out << sep << '"' << f.key << "\": ";
+    sep = ", ";
+    std::visit(
+        [&](auto m) {
+          const auto& v = archive.provenance.*m;
+          using T = std::remove_cvref_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, std::string>)
+            out << '"' << json::escape(v) << '"';
+          else if constexpr (std::is_same_v<T, int>)
+            out << v;
+          else
+            out << num(v);
+        },
+        f.member);
+  }
+  out << "},\n";
   out << "  \"rep_policy\": {\"adaptive\": "
       << (archive.rep.adaptive ? "true" : "false")
       << ", \"reps\": " << archive.rep.reps
@@ -147,25 +222,20 @@ Archive parseArchive(const json::Value& root, const std::string& sourceName) {
     a.bench = root.at("bench").str();
     a.seed = static_cast<std::uint64_t>(root.at("seed").number());
     const auto& prov = root.at("provenance");
-    a.provenance.suite = prov.at("suite").str();
-    a.provenance.gitSha = prov.at("git_sha").str();
-    a.provenance.buildFlags = prov.at("build_flags").str();
-    // Older archives predate the sharded core; they ran serial (1) with
-    // no window bound ("global-min", lookahead 0) and no pinning.
-    if (const json::Value* sj = prov.find("sim_jobs"))
-      a.provenance.simJobs = static_cast<int>(sj->number());
-    if (const json::Value* la = prov.find("lookahead"))
-      a.provenance.lookahead = la->number();
-    if (const json::Value* ls = prov.find("lookahead_source"))
-      a.provenance.lookaheadSource = ls->str();
-    if (const json::Value* sa = prov.find("sim_affinity"))
-      a.provenance.simAffinity = sa->str();
-    if (const json::Value* si = prov.find("shard_imbalance"))
-      a.provenance.shardImbalance = si->number();
-    if (const json::Value* tp = prov.find("tail_percentiles"))
-      a.provenance.tailPercentiles = tp->str();
-    if (const json::Value* st = prov.find("stack"))
-      a.provenance.stack = st->str();
+    for (const ProvenanceField& f : provenanceFields()) {
+      const json::Value* v = f.required ? &prov.at(f.key) : prov.find(f.key);
+      if (v == nullptr) continue;  // older archive: keep the legacy default
+      std::visit(
+          [&](auto m) {
+            auto& dst = a.provenance.*m;
+            using T = std::remove_cvref_t<decltype(dst)>;
+            if constexpr (std::is_same_v<T, std::string>)
+              dst = v->str();
+            else
+              dst = static_cast<T>(v->number());
+          },
+          f.member);
+    }
     const auto& rep = root.at("rep_policy");
     a.rep.adaptive = rep.at("adaptive").boolean();
     a.rep.reps = static_cast<int>(rep.at("reps").number());

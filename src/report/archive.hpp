@@ -11,7 +11,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace comb::json {
@@ -94,6 +96,45 @@ struct ArchiveProvenance {
   /// notes when two non-empty stacks differ.
   std::string stack;
 };
+
+/// How `comb compare` treats a provenance field.
+enum class ProvenanceCompare {
+  Silent,         ///< never noted
+  NoteIfDiffers,  ///< noted whenever the two values differ
+  /// Noted only when both values are non-empty and differ (the field is
+  /// empty in archives written before it existed).
+  NoteIfBothSet,
+};
+
+/// One row per ArchiveProvenance field. writeArchive, parseArchive and
+/// compareArchives all walk provenanceFields(), so adding a field is one
+/// member plus one row.
+struct ProvenanceField {
+  const char* key;  ///< JSON key inside "provenance"
+  std::variant<std::string ArchiveProvenance::*, int ArchiveProvenance::*,
+               double ArchiveProvenance::*>
+      member;
+  /// Required keys must be present; an optional key missing from an older
+  /// archive leaves the member at its default, which is the legacy value.
+  bool required;
+  ProvenanceCompare compare;
+  /// Note label, e.g. "window bounds differ". Rows sharing a label give
+  /// one note that shows each row's value in table order.
+  const char* label;
+  const char* before;       ///< text before the value in the note
+  const char* after;        ///< text after the value in the note
+  /// Why the difference matters ("" = nothing to add); a label shared by
+  /// several rows uses its first row's.
+  const char* consequence;
+
+  /// The member's value as note text (%d, %g or the string itself).
+  std::string show(const ArchiveProvenance& p) const;
+  /// True when this row's compare policy notes the pair.
+  bool noted(const ArchiveProvenance& a, const ArchiveProvenance& b) const;
+};
+
+/// Every provenance field, in the order archives write them.
+std::span<const ProvenanceField> provenanceFields();
 
 /// The percentile base this build's tail metrics are computed on.
 inline constexpr const char* kTailPercentiles = "p50,p90,p99,p999";

@@ -22,8 +22,8 @@ TEST(FigArgs, DefaultsAreValid) {
   EXPECT_TRUE(args.parsedOk);
   EXPECT_EQ(args.exitCode, 0);
   EXPECT_EQ(args.pointsPerDecade, 2);
-  EXPECT_GE(args.jobs, 1);  // defaults to hardware concurrency
-  EXPECT_EQ(args.jobs, hardwareJobs());
+  EXPECT_GE(args.opts.jobs, 1);  // defaults to hardware concurrency
+  EXPECT_EQ(args.opts.jobs, hardwareJobs());
   EXPECT_FALSE(args.csv);
   EXPECT_EQ(args.outDir, "bench_out");
 }
@@ -34,7 +34,7 @@ TEST(FigArgs, ParsesExplicitValues) {
              "results"});
   EXPECT_TRUE(args.parsedOk);
   EXPECT_EQ(args.pointsPerDecade, 5);
-  EXPECT_EQ(args.jobs, 3);
+  EXPECT_EQ(args.opts.jobs, 3);
   EXPECT_TRUE(args.csv);
   EXPECT_EQ(args.outDir, "results");
 }
@@ -72,14 +72,14 @@ TEST(FigArgs, RejectsNonNumericJobs) {
 }
 
 TEST(FigArgs, ParsesSimAffinityPolicies) {
-  EXPECT_EQ(parse({}).simAffinity, sim::AffinityPolicy::None);
-  EXPECT_EQ(parse({"--sim-affinity", "compact"}).simAffinity,
+  EXPECT_EQ(parse({}).opts.simAffinity, sim::AffinityPolicy::None);
+  EXPECT_EQ(parse({"--sim-affinity", "compact"}).opts.simAffinity,
             sim::AffinityPolicy::Compact);
-  EXPECT_EQ(parse({"--sim-affinity", "scatter"}).simAffinity,
+  EXPECT_EQ(parse({"--sim-affinity", "scatter"}).opts.simAffinity,
             sim::AffinityPolicy::Scatter);
   // Rides into the sweep-execution options alongside --sim-jobs.
   const auto opts =
-      parse({"--sim-jobs", "4", "--sim-affinity", "scatter"}).runOptions();
+      parse({"--sim-jobs", "4", "--sim-affinity", "scatter"}).opts;
   EXPECT_EQ(opts.simJobs, 4);
   EXPECT_EQ(opts.simAffinity, sim::AffinityPolicy::Scatter);
 }
@@ -93,20 +93,19 @@ TEST(FigArgs, RejectsUnknownSimAffinity) {
 TEST(FigArgs, ParsesFaultSpec) {
   const auto args = parse({"--fault", "drop=0.01,burst=4,seed=7"});
   EXPECT_TRUE(args.parsedOk);
-  ASSERT_TRUE(args.fault.has_value());
-  EXPECT_DOUBLE_EQ(args.fault->dropProb, 0.01);
-  EXPECT_EQ(args.fault->burstLen, 4);
-  EXPECT_EQ(args.fault->seed, 7u);
+  ASSERT_TRUE(args.opts.fault.has_value());
+  EXPECT_DOUBLE_EQ(args.opts.fault->dropProb, 0.01);
+  EXPECT_EQ(args.opts.fault->burstLen, 4);
+  EXPECT_EQ(args.opts.fault->seed, 7u);
   // The fault spec rides into the sweep via RunOptions.
-  const auto opts = args.runOptions();
+  const auto opts = args.opts;
   ASSERT_TRUE(opts.fault.has_value());
   EXPECT_DOUBLE_EQ(opts.fault->dropProb, 0.01);
 }
 
 TEST(FigArgs, NoFaultFlagMeansNoOverride) {
   const auto args = parse({});
-  EXPECT_FALSE(args.fault.has_value());
-  EXPECT_FALSE(args.runOptions().fault.has_value());
+  EXPECT_FALSE(args.opts.fault.has_value());
 }
 
 TEST(FigArgs, RejectsMalformedFaultSpec) {

@@ -4,6 +4,8 @@
 
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/error.hpp"
@@ -146,6 +148,59 @@ TEST(Compare, CrossCoreConfigurationIsNoted) {
   EXPECT_NE(report.notes[2].find("--sim-affinity"), std::string::npos);
   // Identical configurations stay silent.
   EXPECT_TRUE(compareArchives(base, base, {}).notes.empty());
+}
+
+// Each provenance row changed on its own gives exactly one note when its
+// compare policy notes it, and none when it is silent.
+TEST(Compare, EachProvenanceRowNotesOnItsOwn) {
+  auto base = archiveWith("s", "bw", true, {{1, 1, 1}});
+  for (const auto& f : report::provenanceFields())  // all non-empty
+    std::visit(
+        [&](auto m) {
+          auto& v = base.provenance.*m;
+          if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                       std::string>)
+            v = std::string("v-") + f.key;
+        },
+        f.member);
+  std::vector<std::string> silent;
+  for (const auto& f : report::provenanceFields()) {
+    SCOPED_TRACE(f.key);
+    auto cand = base;
+    std::visit(
+        [&](auto m) {
+          auto& v = cand.provenance.*m;
+          if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v)>,
+                                       std::string>)
+            v += "-changed";
+          else
+            v += 1;
+        },
+        f.member);
+    const auto notes = compareArchives(base, cand, {}).notes;
+    if (f.compare == report::ProvenanceCompare::Silent) {
+      EXPECT_TRUE(notes.empty());
+      silent.push_back(f.key);
+      continue;
+    }
+    ASSERT_EQ(notes.size(), 1u);
+    EXPECT_EQ(notes[0].rfind(f.label, 0), 0u) << notes[0];
+    if (f.compare == report::ProvenanceCompare::NoteIfBothSet) {
+      // An archive written before the field existed leaves it empty.
+      auto legacy = base;
+      std::visit(
+          [&](auto m) {
+            if constexpr (std::is_same_v<
+                              std::remove_cvref_t<decltype(legacy.provenance.*m)>,
+                              std::string>)
+              (legacy.provenance.*m).clear();
+          },
+          f.member);
+      EXPECT_TRUE(compareArchives(legacy, cand, {}).notes.empty());
+    }
+  }
+  EXPECT_EQ(silent, (std::vector<std::string>{"suite", "build_flags",
+                                              "shard_imbalance"}));
 }
 
 TEST(Compare, RejectsBadOptions) {

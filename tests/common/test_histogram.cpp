@@ -56,72 +56,6 @@ TEST(Histogram, RenderContainsBars) {
   EXPECT_NE(s.find("#"), std::string::npos);
 }
 
-TEST(Histogram, MergeSameLayoutIsBinwise) {
-  Histogram a(0.0, 10.0, 10);
-  Histogram b(0.0, 10.0, 10);
-  a.add(1.5);
-  b.add(1.5);
-  b.add(7.5);
-  b.add(-1.0);
-  b.add(42.0);
-  EXPECT_TRUE(a.sameLayout(b));
-  a.merge(b);
-  EXPECT_EQ(a.count(1), 2u);
-  EXPECT_EQ(a.count(7), 1u);
-  EXPECT_EQ(a.underflow(), 1u);
-  EXPECT_EQ(a.overflow(), 1u);
-  EXPECT_EQ(a.total(), 5u);
-}
-
-// Regression: merging mismatched layouts used to be a silent assumption
-// (bin-wise addition over different ranges). Now it rebuckets by source
-// bin midpoint and preserves every count.
-TEST(Histogram, MergeMismatchedLayoutRebuckets) {
-  Histogram dst(0.0, 100.0, 10);  // 10-wide bins
-  Histogram src(0.0, 50.0, 50);   // 1-wide bins over half the range
-  EXPECT_FALSE(dst.sameLayout(src));
-  for (int i = 0; i < 50; ++i) src.add(static_cast<double>(i) + 0.25);
-  dst.merge(src);
-  // Every source bin midpoint lands inside [0, 50) → dst bins 0..4.
-  for (std::size_t b = 0; b < 5; ++b) EXPECT_EQ(dst.count(b), 10u) << b;
-  for (std::size_t b = 5; b < 10; ++b) EXPECT_EQ(dst.count(b), 0u) << b;
-  EXPECT_EQ(dst.underflow(), 0u);
-  EXPECT_EQ(dst.overflow(), 0u);
-  EXPECT_EQ(dst.total(), 50u);
-}
-
-TEST(Histogram, MergeRebucketRoutesOutOfRangeToOverflow) {
-  Histogram dst(10.0, 20.0, 5);
-  Histogram src(0.0, 40.0, 4);  // midpoints 5, 15, 25, 35
-  src.add(1.0);
-  src.add(12.0);
-  src.add(22.0);
-  src.add(39.0);
-  dst.merge(src);
-  EXPECT_EQ(dst.underflow(), 1u);  // midpoint 5 < 10
-  EXPECT_EQ(dst.overflow(), 2u);   // midpoints 25 and 35 >= 20
-  EXPECT_EQ(dst.count(2), 1u);     // midpoint 15 → [14, 16)
-  EXPECT_EQ(dst.total(), 4u);
-}
-
-TEST(Histogram, MergeRebucketPreservesCountsUnderSplit) {
-  // Recording a stream into one histogram vs splitting it across two
-  // differently-shaped parts and merging: totals must agree.
-  Histogram whole(0.0, 1.0, 8);
-  Histogram partA(0.0, 1.0, 8);
-  Histogram partB(0.0, 2.0, 64);
-  for (int i = 0; i < 256; ++i) {
-    const double x = static_cast<double>(i % 100) / 100.0;
-    whole.add(x);
-    (i % 2 ? partA : partB).add(x);
-  }
-  partA.merge(partB);
-  EXPECT_EQ(partA.total(), whole.total());
-  std::size_t inBins = 0;
-  for (std::size_t b = 0; b < partA.bins(); ++b) inBins += partA.count(b);
-  EXPECT_EQ(inBins + partA.underflow() + partA.overflow(), whole.total());
-}
-
 TEST(Histogram, InvalidConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), ConfigError);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), ConfigError);

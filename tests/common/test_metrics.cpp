@@ -86,24 +86,16 @@ TEST(Metrics, SnapshotIsACopy) {
   EXPECT_EQ(reg.snapshot().counterValue("x"), 11u);
 }
 
-TEST(Metrics, MergeRebucketsMismatchedHistogramLayouts) {
+// Same-named histograms share one layout, so a merge is bin-wise and
+// exact; a mismatch is a wiring error, rejected at registration within one
+// registry and at merge time across shards.
+TEST(Metrics, HistogramLayoutMismatchIsRejected) {
   Registry a, b;
   a.histogram("h", 0.0, 100.0, 10).add(15.0);
-  Histogram& fine = b.histogram("h", 0.0, 50.0, 50);
-  fine.add(15.5);  // midpoint of its bin is 15.5 → coarse bin 1
-  fine.add(49.5);  // → coarse bin 4
-  fine.add(60.0);  // overflow in the fine layout, carried over
-  const Snapshot m = mergeSnapshots({a.snapshot(), b.snapshot()});
-  ASSERT_EQ(m.histograms.size(), 1u);
-  const HistogramSample& h = m.histograms[0];
-  // First-seen (coarse) layout wins.
-  EXPECT_DOUBLE_EQ(h.lo, 0.0);
-  EXPECT_DOUBLE_EQ(h.hi, 100.0);
-  ASSERT_EQ(h.counts.size(), 10u);
-  EXPECT_EQ(h.counts[1], 2u);
-  EXPECT_EQ(h.counts[4], 1u);
-  EXPECT_EQ(h.overflow, 1u);
-  EXPECT_EQ(h.total, 4u);
+  EXPECT_THROW(a.histogram("h", 0.0, 50.0, 10), ConfigError);
+  EXPECT_THROW(a.histogram("h", 0.0, 100.0, 20), ConfigError);
+  b.histogram("h", 0.0, 50.0, 50).add(15.5);
+  EXPECT_THROW(mergeSnapshots({a.snapshot(), b.snapshot()}), ConfigError);
 }
 
 // A sample's stored range expanded into the full global layout.
@@ -135,14 +127,6 @@ TEST(Metrics, ConsumingMergeMatchesHandComputedInEveryOrder) {
   b.histogram("h.same", 0.0, 10.0, 5).add(3.0);
   c.histogram("h.same", 0.0, 10.0, 5).add(12.0);
   c.histogram("h.same", 0.0, 10.0, 5).add(-1.0);
-  // a and b share a 10-bin layout over [0, 100); c has 5 bins over
-  // [0, 50). The first-seen layout wins, so the result depends on whether
-  // c comes first.
-  a.histogram("h.mixed", 0.0, 100.0, 10).add(15.0);  // bin 1
-  a.histogram("h.mixed", 0.0, 100.0, 10).add(95.0);  // bin 9
-  b.histogram("h.mixed", 0.0, 100.0, 10).add(55.0);  // bin 5
-  c.histogram("h.mixed", 0.0, 50.0, 5).add(25.0);    // bin 2
-  c.histogram("h.mixed", 0.0, 50.0, 5).add(70.0);    // overflow
   a.latency("lat").recordTicks(5);
   a.latency("lat").recordTicks(1000);
   b.latency("lat");  // registered, never recorded
@@ -168,22 +152,8 @@ TEST(Metrics, ConsumingMergeMatchesHandComputedInEveryOrder) {
     EXPECT_EQ(m.counters[1].name, "c.sum");
     EXPECT_EQ(m.counters[1].value, 15u);
 
-    ASSERT_EQ(m.histograms.size(), 2u);
-    const HistogramSample& mixed = m.histograms[0];
-    EXPECT_EQ(mixed.name, "h.mixed");
-    EXPECT_EQ(mixed.total, 5u);
-    EXPECT_EQ(mixed.underflow, 0u);
-    if (order[0] == 2) {  // c's [0, 50) layout; a's 95 and b's 55 overflow
-      EXPECT_DOUBLE_EQ(mixed.hi, 50.0);
-      EXPECT_EQ(mixed.counts, (std::vector<std::size_t>{0, 1, 1, 0, 0}));
-      EXPECT_EQ(mixed.overflow, 3u);
-    } else {  // a's/b's [0, 100) layout; c's overflow is carried over
-      EXPECT_DOUBLE_EQ(mixed.hi, 100.0);
-      EXPECT_EQ(mixed.counts,
-                (std::vector<std::size_t>{0, 1, 1, 0, 0, 1, 0, 0, 0, 1}));
-      EXPECT_EQ(mixed.overflow, 1u);
-    }
-    const HistogramSample& same = m.histograms[1];
+    ASSERT_EQ(m.histograms.size(), 1u);
+    const HistogramSample& same = m.histograms[0];
     EXPECT_EQ(same.name, "h.same");
     EXPECT_EQ(same.counts, (std::vector<std::size_t>{1, 2, 0, 0, 0}));
     EXPECT_EQ(same.underflow, 1u);

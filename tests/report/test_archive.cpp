@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <type_traits>
+#include <variant>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
@@ -164,6 +167,81 @@ TEST(Archive, ParsesArchivesWithoutCoreConfigFields) {
   EXPECT_DOUBLE_EQ(b.provenance.lookahead, 0.0);
   EXPECT_EQ(b.provenance.lookaheadSource, "global-min");
   EXPECT_EQ(b.provenance.simAffinity, "none");
+}
+
+// Every provenance row set to a value that differs from its default (and
+// holds no comma, so the legacy test below can cut a key out as text).
+ArchiveProvenance distinctProvenance() {
+  ArchiveProvenance p;
+  int i = 0;
+  for (const ProvenanceField& f : provenanceFields()) {
+    ++i;
+    std::visit(
+        [&](auto m) {
+          auto& v = p.*m;
+          using T = std::remove_cvref_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, std::string>)
+            v = std::string("v-") + f.key;
+          else if constexpr (std::is_same_v<T, int>)
+            v = i + 1;
+          else
+            v = i + 0.25;
+        },
+        f.member);
+  }
+  return p;
+}
+
+bool sameField(const ProvenanceField& f, const ArchiveProvenance& a,
+               const ArchiveProvenance& b) {
+  return std::visit([&](auto m) { return a.*m == b.*m; }, f.member);
+}
+
+TEST(Archive, ProvenanceTableRoundTripsEveryRow) {
+  Archive a = sampleArchive();
+  a.provenance = distinctProvenance();
+  std::ostringstream out;
+  writeArchive(out, a);
+  const Archive b = parseArchive(json::parse(out.str(), "rows"), "rows");
+  ASSERT_EQ(provenanceFields().size(), 10u);
+  for (const ProvenanceField& f : provenanceFields()) {
+    EXPECT_TRUE(sameField(f, a.provenance, b.provenance)) << f.key;
+    // Each key is written exactly once.
+    const std::string key = std::string("\"") + f.key + "\": ";
+    const auto at = out.str().find(key);
+    EXPECT_NE(at, std::string::npos) << f.key;
+    EXPECT_EQ(out.str().find(key, at + 1), std::string::npos) << f.key;
+  }
+}
+
+TEST(Archive, EachOptionalProvenanceKeyFallsBackToItsLegacyDefault) {
+  Archive a = sampleArchive();
+  a.provenance = distinctProvenance();
+  std::ostringstream out;
+  writeArchive(out, a);
+  const ArchiveProvenance legacy;
+  for (const ProvenanceField& dropped : provenanceFields()) {
+    SCOPED_TRACE(dropped.key);
+    std::string doc = out.str();
+    auto begin = doc.find(std::string("\"") + dropped.key + "\": ");
+    ASSERT_NE(begin, std::string::npos);
+    auto end = doc.find_first_of(",}", begin);
+    if (doc[begin - 1] == '{')
+      end += 2;  // first key: drop the ", " after it
+    else
+      begin -= 2;  // drop the ", " before it
+    doc.erase(begin, end - begin);
+    if (dropped.required) {
+      EXPECT_THROW(parseArchive(json::parse(doc, "legacy"), "legacy"),
+                   ConfigError);
+      continue;
+    }
+    const Archive b = parseArchive(json::parse(doc, "legacy"), "legacy");
+    for (const ProvenanceField& f : provenanceFields())
+      EXPECT_TRUE(sameField(f, b.provenance,
+                            &f == &dropped ? legacy : a.provenance))
+          << f.key;
+  }
 }
 
 TEST(Archive, BuildProvenanceIsStamped) {

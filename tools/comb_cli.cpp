@@ -9,16 +9,15 @@
 // Machines are the bundled presets (backend/stacks.hpp) or a machine file,
 // optionally modified by --cpus N --nic-cpu K (SMP extension) and
 // --queue / --batch knobs.
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "comb_args.hpp"
+
 #include "backend/machine.hpp"
-#include "backend/machine_file.hpp"
 #include "backend/sim_cluster.hpp"
-#include "backend/stacks.hpp"
 #include "comb/analysis.hpp"
 #include "comb/archive_build.hpp"
 #include "comb/audit.hpp"
@@ -33,9 +32,7 @@
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "common/units.hpp"
-#include "net/fault.hpp"
 #include "report/machine_stats.hpp"
 #include "report/trace_export.hpp"
 
@@ -71,103 +68,6 @@ void usage() {
       "  try `comb <method> --help` for details");
 }
 
-ArgParser makeParser(const std::string& method) {
-  ArgParser args("comb " + method, "COMB benchmark suite");
-  args.addOption("machine", backend::presetNames(), "gm");
-  args.addOption("machine-file", "load a machine definition file (.ini)", "");
-  args.addOption("size-kb", "message size in KB", "100");
-  args.addOption("cpus", "CPUs per node (SMP extension)", "1");
-  args.addOption("nic-cpu", "CPU servicing NIC kernel work", "0");
-  args.addFlag("sweep", "sweep the primary variable over the paper range");
-  args.addOption("jobs",
-                 "worker threads for sweep points (0 = all cores); results "
-                 "are bit-identical for any value",
-                 "0");
-  args.addOption("sim-jobs",
-                 "simulator-core shards per cluster (1 = classic serial "
-                 "core; N > 1 is a distinct deterministic configuration "
-                 "recorded in archives)",
-                 "1");
-  args.addOption("sim-affinity",
-                 "shard-worker pinning: none | compact | scatter (wall "
-                 "time only — results are identical across policies)",
-                 "none");
-  args.addOption("interval", "polling interval (loop iterations)", "10000");
-  args.addOption("work", "PWW work interval (loop iterations)", "1000000");
-  args.addOption("queue", "polling queue depth", "8");
-  args.addOption("batch", "PWW batch size", "1");
-  args.addOption("test-at", "insert MPI_Test at this work fraction (-1=off)",
-                 "-1");
-  args.addOption("fault",
-                 "inject link faults, e.g. drop=0.01,burst=4,seed=7 "
-                 "(keys: drop, burst, corrupt, jitter_us, seed)",
-                 "");
-  args.addOption("noise",
-                 "inject OS noise on every host CPU, e.g. "
-                 "period_us=250,duration_us=20 (keys: period_us, "
-                 "duration_us, jitter, daemons, coalesce_us, seed)",
-                 "");
-  args.addOption("reps", "repetitions per measurement point", "1");
-  args.addFlag("reps-auto",
-               "adaptive reps: run until the relative CI half-width of the "
-               "bandwidth reaches --ci-target (or --max-reps)");
-  args.addOption("ci-target", "relative CI half-width to stop at", "0.05");
-  args.addOption("max-reps", "rep budget for --reps-auto", "20");
-  args.addOption("seed", "root seed for per-rep fault streams + bootstrap",
-                 "49227");
-  args.addOption("archive",
-                 "write a result archive (per-rep samples, provenance) "
-                 "into DIR",
-                 "");
-  args.addOption("tolerance",
-                 "compare: relative delta below which changes are ignored",
-                 "0.02");
-  args.addOption("alpha", "compare: Mann-Whitney significance level",
-                 "0.05");
-  args.addFlag("all", "compare: print every compared row, not just flagged");
-  args.addOption("metric-class",
-                 "compare: gate only this metric class (all | mean | tail)",
-                 "all");
-  args.addOption("metric",
-                 "hist: exact latency-instrument name to plot (default: "
-                 "the merged mpi send/recv families)",
-                 "");
-  args.addFlag("density",
-               "hist: plot per-bucket sample counts instead of the CDF");
-  args.addFlag("trace", "stats: also dump the substrate event trace");
-  args.addOption("trace-rows", "stats: trace rows to print", "40");
-  args.addOption("method", "trace: workload to trace (polling | pww)", "pww");
-  args.addOption("out", "trace: write Chrome trace JSON to FILE", "");
-  args.addFlag("summary",
-               "trace: print per-category counts and the longest spans");
-  args.addOption("top", "trace: spans to show with --summary", "10");
-  args.addFlag("stats-json",
-               "trace: dump the machine-stats/metrics snapshot as JSON");
-  return args;
-}
-
-backend::MachineConfig machineFrom(const ArgParser& args) {
-  backend::MachineConfig m;
-  if (const std::string file = args.str("machine-file"); !file.empty()) {
-    m = backend::loadMachineFile(file);
-  } else {
-    m = backend::presetMachine(args.str("machine"));
-    // Presets pick their own CPU shape (progress_thread needs a second
-    // core); only explicit --cpus / --nic-cpu override it.
-    if (args.given("cpus"))
-      m.cpusPerNode = static_cast<int>(args.integer("cpus"));
-    if (args.given("nic-cpu"))
-      m.nicCpu = static_cast<int>(args.integer("nic-cpu"));
-  }
-  // --fault / --noise override whatever the machine (or machine file)
-  // specified.
-  if (const std::string spec = args.str("fault"); !spec.empty())
-    m.fabric.link.fault = net::parseFaultSpec(spec);
-  if (const std::string spec = args.str("noise"); !spec.empty())
-    m.noise = host::parseNoiseSpec(spec);
-  return m;
-}
-
 /// --size-kb in bytes.
 Bytes sizeFrom(const ArgParser& args) {
   return static_cast<Bytes>(args.integer("size-kb")) * 1024;
@@ -188,39 +88,6 @@ bench::PwwParams pwwParamsFrom(const ArgParser& args) {
   p.testCallAtFraction = args.real("test-at");
   p.workInterval = static_cast<std::uint64_t>(args.integer("work"));
   return p;
-}
-
-/// The rep policy described by the common CLI flags.
-bench::RepPolicy repPolicyFrom(const ArgParser& args) {
-  bench::RepPolicy p;
-  p.reps = static_cast<int>(args.integer("reps"));
-  p.adaptive = args.flag("reps-auto");
-  p.maxReps = static_cast<int>(args.integer("max-reps"));
-  p.minReps = std::min(p.minReps, p.maxReps);
-  p.ciTarget = args.real("ci-target");
-  p.seed = static_cast<std::uint64_t>(args.integer("seed"));
-  bench::validateRepPolicy(p);
-  return p;
-}
-
-/// The run options the common flags describe, validated before any
-/// simulation starts: --jobs 0 means all hardware threads, and negative
-/// --jobs, --sim-jobs below 1, unknown --sim-affinity policies and bad
-/// rep knobs are configuration errors.
-bench::RunOptions runOptionsFrom(const ArgParser& args) {
-  bench::RunOptions opts;
-  const auto jobs = args.integer("jobs");
-  if (jobs < 0)
-    throw ConfigError("--jobs must be >= 0 (0 = all cores), got " +
-                      args.str("jobs"));
-  opts.jobs = jobs == 0 ? hardwareJobs() : static_cast<int>(jobs);
-  const auto simJobs = args.integer("sim-jobs");
-  if (simJobs < 1)
-    throw ConfigError("--sim-jobs must be >= 1, got " + args.str("sim-jobs"));
-  opts.simJobs = static_cast<int>(simJobs);
-  opts.simAffinity = sim::parseAffinityPolicy(args.str("sim-affinity"));
-  opts.rep = repPolicyFrom(args);
-  return opts;
 }
 
 /// Per-rep dispersion columns appended when more than one rep ran.
@@ -258,9 +125,9 @@ void printPollingRow(TextTable& t, const bench::RepRun<bench::PollingPoint>& run
 }
 
 int runPolling(const ArgParser& args) {
-  const auto machine = machineFrom(args);
+  const auto opts = bench::runOptionsFrom(args);
+  const auto machine = cli::machineFrom(args, opts);
   const auto params = pollingParamsFrom(args);
-  const auto opts = runOptionsFrom(args);
   const bool withReps = opts.rep.adaptive || opts.rep.reps > 1;
 
   std::vector<std::string> header{"poll_interval", "bandwidth_MBps",
@@ -314,9 +181,9 @@ void printPwwRow(TextTable& t, const bench::RepRun<bench::PwwPoint>& run,
 }
 
 int runPww(const ArgParser& args) {
-  const auto machine = machineFrom(args);
+  const auto opts = bench::runOptionsFrom(args);
+  const auto machine = cli::machineFrom(args, opts);
   const auto params = pwwParamsFrom(args);
-  const auto opts = runOptionsFrom(args);
   const bool withReps = opts.rep.adaptive || opts.rep.reps > 1;
 
   std::vector<std::string> header{"work_interval", "bandwidth_MBps",
@@ -354,10 +221,10 @@ int runPww(const ArgParser& args) {
 }
 
 int runLatency(const ArgParser& args) {
-  const auto machine = machineFrom(args);
+  auto opts = bench::runOptionsFrom(args);
+  const auto machine = cli::machineFrom(args, opts);
   bench::LatencyParams params;
   params.msgBytes = sizeFrom(args);
-  auto opts = runOptionsFrom(args);
   opts.jobs = 1;  // one point: no sweep threads to budget shard workers for
   const auto run = bench::runLatencyPointReps(machine, params, opts);
   const auto& pt = run.canonical();
@@ -425,10 +292,10 @@ int runCompare(const ArgParser& args) {
 }
 
 int runAssess(const ArgParser& args) {
-  const auto machine = machineFrom(args);
+  const auto opts = bench::runOptionsFrom(args);
+  const auto machine = cli::machineFrom(args, opts);
   bench::AssessOptions options;
   options.msgBytes = sizeFrom(args);
-  const auto opts = runOptionsFrom(args);
   options.jobs = opts.jobs;
   options.simJobs = opts.simJobs;
   options.simAffinity = opts.simAffinity;
@@ -446,9 +313,9 @@ sim::Task<void> statsWorkerDriver(backend::SimProc& env,
 }
 
 int runStats(const ArgParser& args) {
-  const auto machine = machineFrom(args);
+  const auto opts = bench::runOptionsFrom(args);
+  const auto machine = cli::machineFrom(args, opts);
   const auto params = pollingParamsFrom(args);
-  const auto opts = runOptionsFrom(args);
   backend::SimCluster cluster(machine, 2, opts.simJobs, /*workers=*/0,
                               opts.simAffinity);
   if (args.flag("trace")) cluster.enableTracing();
@@ -470,9 +337,9 @@ int runStats(const ArgParser& args) {
 /// `comb trace`: run one fully traced point, audit the timeline against
 /// the reported numbers, and export (--out) and/or summarize (--summary).
 int runTrace(const ArgParser& args) {
-  const auto machine = machineFrom(args);
+  auto opts = bench::runOptionsFrom(args);
+  const auto machine = cli::machineFrom(args, opts);
   const std::string method = args.str("method");
-  auto opts = runOptionsFrom(args);
   opts.jobs = 1;  // one point: no sweep threads to budget shard workers for
   std::unique_ptr<sim::TraceLog> log;
   report::MachineStats stats;
@@ -559,9 +426,9 @@ void printTailLine(const char* label, const TailSummary& t) {
 /// `comb hist`: run one point and render the per-message latency
 /// distributions as ASCII CDFs (or bucket densities).
 int runHist(const ArgParser& args) {
-  const auto machine = machineFrom(args);
+  const auto opts = bench::runOptionsFrom(args);
+  const auto machine = cli::machineFrom(args, opts);
   const std::string method = args.str("method");
-  const auto opts = runOptionsFrom(args);
   backend::SimCluster cluster(machine, 2, opts.simJobs, /*workers=*/0,
                               opts.simAffinity);
   bench::PollingPoint pollPoint;
@@ -638,7 +505,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
-    auto args = makeParser(method);
+    auto args = cli::makeParser(method);
     if (!args.parse(argc - 1, argv + 1)) return 0;
     if (method == "polling") return runPolling(args);
     if (method == "pww") return runPww(args);
