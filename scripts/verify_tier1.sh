@@ -17,8 +17,11 @@
 #   3. rebuild the tracing/observability suites under AddressSanitizer
 #      (-DCOMB_SANITIZE=address) and run the `trace`-labelled tests: the
 #      TraceLog ring recycles slots and interns labels, exactly the kind
-#      of code ASan exists to check — plus the nic::ReliableLink unit
-#      tests, whose retransmission timers capture the link's `this`;
+#      of code ASan exists to check — plus the packet path: the
+#      nic::ReliableLink, Switch, Link and Fabric unit tests and the
+#      `faults`-labelled tests (the reliability engine's window and
+#      fragment-bit index arithmetic, its timers capturing the link's
+#      `this`, and the idealized switch's early Link::send);
 #   4. rebuild the stats/archive/compare engine under UBSan
 #      (-DCOMB_SANITIZE=undefined) and run the `stats`-labelled tests:
 #      percentile interpolation, bootstrap index arithmetic and the
@@ -91,7 +94,12 @@ build_asan() {
   cmake -B build-asan -S . -DCOMB_SANITIZE=address \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
     cmake --build build-asan -j --target test_tracelog test_trace_export \
-      test_audit test_progress_thread test_rdma test_reliable_link
+      test_audit test_progress_thread test_rdma test_reliable_link \
+      test_switch test_link test_fabric test_fault test_fault_injection
+}
+asan_link() {
+  ctest_checked build-asan -R '^(ReliableLink|Switch|Link|Fabric)\.' &&
+    ctest_checked build-asan -L faults
 }
 build_ubsan() {
   cmake -B build-ubsan -S . -DCOMB_SANITIZE=undefined \
@@ -110,7 +118,7 @@ run_stage "tsan trace"       ctest_checked build-tsan -L trace
 run_stage "tsan pdes"        ctest_checked build-tsan -L pdes
 run_stage "asan build"       build_asan
 run_stage "asan trace"       ctest_checked build-asan -L trace
-run_stage "asan link"        ctest_checked build-asan -R '^ReliableLink\.'
+run_stage "asan link"        asan_link
 run_stage "ubsan build"      build_ubsan
 run_stage "ubsan stats"      ctest_checked build-ubsan -L stats
 if [[ "$PERF" == 1 ]]; then

@@ -75,12 +75,22 @@ void Mpi::onRxDone(std::uint64_t handle, const Status& st,
 }
 
 void Mpi::beginPhase(std::string_view phase) {
-  phaseSend_ = &sim_.metrics().latency(
-      strFormat("mpi.n%d.send_latency.%.*s", rank(),
-                static_cast<int>(phase.size()), phase.data()));
-  phaseRecv_ = &sim_.metrics().latency(
-      strFormat("mpi.n%d.recv_latency.%.*s", rank(),
-                static_cast<int>(phase.size()), phase.data()));
+  auto it = std::find_if(phases_.begin(), phases_.end(),
+                         [phase](const PhaseRecorders& r) {
+                           return r.label == phase;
+                         });
+  if (it == phases_.end()) {
+    const int n = static_cast<int>(phase.size());
+    phases_.push_back(PhaseRecorders{
+        std::string(phase),
+        &sim_.metrics().latency(strFormat("mpi.n%d.send_latency.%.*s",
+                                          rank(), n, phase.data())),
+        &sim_.metrics().latency(strFormat("mpi.n%d.recv_latency.%.*s",
+                                          rank(), n, phase.data()))});
+    it = std::prev(phases_.end());
+  }
+  phaseSend_ = it->send;
+  phaseRecv_ = it->recv;
 }
 
 void Mpi::endPhase() {

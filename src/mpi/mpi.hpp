@@ -19,6 +19,8 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -130,8 +132,9 @@ class Mpi {
   // --- tail-latency observability -----------------------------------------
   /// While a phase is active, per-message completion latencies are also
   /// recorded into `mpi.n<rank>.{send,recv}_latency.<phase>` recorders
-  /// (find-or-create happens here, outside the steady state; recording
-  /// itself stays allocation-free). Driven by SimProc::phaseBegin/End.
+  /// (registered on a phase's first begin and cached per label, so later
+  /// begins do no name building or lookup; recording itself stays
+  /// allocation-free). Driven by SimProc::phaseBegin/End.
   void beginPhase(std::string_view phase);
   void endPhase();
 
@@ -171,6 +174,13 @@ class Mpi {
   /// Extra per-phase recorders, active between beginPhase/endPhase.
   LatencyRecorder* phaseSend_ = nullptr;
   LatencyRecorder* phaseRecv_ = nullptr;
+  /// Every phase's recorder pair, registered on the phase's first begin.
+  struct PhaseRecorders {
+    std::string label;
+    LatencyRecorder* send;
+    LatencyRecorder* recv;
+  };
+  std::vector<PhaseRecorders> phases_;
   Comm world_;
   std::unordered_map<std::uint64_t, ReqState> states_;
   std::uint64_t nextReq_ = 1;

@@ -43,9 +43,10 @@ void Link::rehome(sim::ShardContext& ctx) {
 
 bool Link::idleNow() const { return busyUntil_ <= sim_->now(); }
 
-Time Link::send(Packet p) {
+Time Link::send(Packet p, Time earliest) {
   COMB_ASSERT(static_cast<bool>(sink_), "link has no sink: " + name_);
-  const Time start = std::max(sim_->now(), busyUntil_);
+  COMB_ASSERT(earliest >= sim_->now(), "link send before now: " + name_);
+  const Time start = std::max(earliest, busyUntil_);
   const Time occupy = transferTime(p.wireBytes, cfg_.rate);
   busyUntil_ = start + occupy;
   busyTime_ += occupy;
@@ -72,9 +73,9 @@ Time Link::send(Packet p) {
       ++packetsDropped_;
       dropsCounter_->add();
       if (sim_->tracing())
-        sim_->emitTrace(sim::TraceCategory::Fault, p.dst, dropLabel_,
-                        static_cast<double>(p.wireBytes),
-                        static_cast<double>(p.seq));
+        sim_->emitTraceAt(earliest, sim::TraceCategory::Fault, p.dst,
+                          dropLabel_, static_cast<double>(p.wireBytes),
+                          static_cast<double>(p.seq));
       return arrival;
     }
     if (f.corruptProb > 0.0 && faultRng_.uniform() < f.corruptProb) {
@@ -82,9 +83,9 @@ Time Link::send(Packet p) {
       ++packetsCorrupted_;
       corruptsCounter_->add();
       if (sim_->tracing())
-        sim_->emitTrace(sim::TraceCategory::Fault, p.dst, corruptLabel_,
-                        static_cast<double>(p.wireBytes),
-                        static_cast<double>(p.seq));
+        sim_->emitTraceAt(earliest, sim::TraceCategory::Fault, p.dst,
+                          corruptLabel_, static_cast<double>(p.wireBytes),
+                          static_cast<double>(p.seq));
     }
     if (f.jitter > 0.0) {
       // Jitter delays delivery but never reorders: a link is a FIFO pipe.

@@ -1,7 +1,7 @@
 // Point-to-point unidirectional link with finite bandwidth and latency.
 //
 // Transmission model (store-and-forward at the receiving end):
-//   start    = max(now, time the link becomes free)
+//   start    = max(earliest, time the link becomes free)
 //   occupy   = wireBytes / rate            (serialization)
 //   arrival  = start + occupy + latency    (propagation + receive)
 // Packets queued while the link is busy serialize FIFO — this is what
@@ -62,7 +62,14 @@ class Link {
   sim::ShardContext& owner() const { return *sim_; }
 
   /// Enqueue a packet; returns its arrival time at the sink.
-  Time send(Packet p);
+  Time send(Packet p) { return send(std::move(p), sim_->now()); }
+  /// Enqueue a packet that may not start serializing before `earliest`
+  /// (>= now). The idealized crossbar hands packets over at inject time
+  /// with `earliest = now + routingLatency`, which is exact as long as
+  /// every sender to this link uses the same constant delay: the link
+  /// then sees the same packets in the same order as a delayed send().
+  /// Fault records are stamped at `earliest`.
+  Time send(Packet p, Time earliest);
 
   /// Absolute time the link becomes free for a new serialization.
   Time freeAt() const { return busyUntil_; }

@@ -140,12 +140,12 @@ void Switch::inject(int inputPort, Packet p) {
   ++out->packetsRouted;
   out->packetsCounter->add();
   if (!cfg_.queue.bounded()) {
-    // Idealized crossbar: hand straight to the output link after the
-    // cut-through delay; the link's serializer is the (infinite) queue.
-    Link* link = out->link;
-    out->ctx->schedule(cfg_.routingLatency, [link, p = std::move(p)]() mutable {
-      link->send(std::move(p));
-    });
+    // Idealized crossbar: the link's serializer is the (infinite) queue.
+    // Hand the packet over now, to start no earlier than the cut-through
+    // delay — no routing event. Exact: only this port feeds the link and
+    // every packet gets the same delay, so the link sees the same packets
+    // in the same order and computes the same start and arrival.
+    out->link->send(std::move(p), out->ctx->now() + cfg_.routingLatency);
     return;
   }
   // The ingress port rides in the packet's padding: the closure must fit

@@ -7,6 +7,13 @@
 // contention is then modelled by the output Link's own serialization
 // queue, which is unbounded. That is a non-blocking, infinite-buffer
 // crossbar — fine for 2-node experiments, wrong for congestion studies.
+// inject() hands the packet to the output link at once, told not to start
+// serializing before now + routingLatency (Link::send(p, earliest)), so a
+// packet crossing a star costs 2 events (uplink arrival, downlink
+// arrival) rather than 3. The link runs at inject time, so in a trace
+// export a downlink's Wire and drop/corrupt records can sit earlier in
+// file order than under a separate routing event; their timestamps, and
+// every start, arrival and fault draw, are unchanged.
 //
 // With a finite queue configured, each output port owns a bounded
 // store-and-forward queue. Contending inputs are arbitrated fairly

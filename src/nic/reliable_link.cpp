@@ -59,50 +59,82 @@ void ReliableLink::injectFragment(const MessageMeta& meta, net::NodeId dst,
   fabric_.inject(node_, dst, fragBytes(wireBytes, frag), std::move(wp));
 }
 
+ReliableLink::Unacked* ReliableLink::find(std::uint64_t msgId) const {
+  if (msgId < base_) return nullptr;
+  const std::uint64_t i = front_ + (msgId - base_);
+  return i < window_.size() ? window_[static_cast<std::size_t>(i)].get()
+                            : nullptr;
+}
+
 void ReliableLink::track(net::NodeId dst, Bytes wireBytes, MessageMeta meta,
                          bool reportDone) {
   if (!enabled_) return;
   const std::uint64_t msgId = meta->msgId;
-  Unacked u;
+  if (window_.empty()) base_ = msgId;  // release() empties a drained window
+  const std::uint64_t end = base_ + (window_.size() - front_);
+  COMB_ASSERT(msgId >= end, "message ids must increase at every track()");
+  window_.resize(static_cast<std::size_t>(front_ + (msgId - base_)));
+  if (free_.empty()) free_.push_back(std::make_unique<Unacked>());
+  window_.push_back(std::move(free_.back()));
+  free_.pop_back();
+  Unacked& u = *window_.back();
   u.dst = dst;
   u.wireBytes = wireBytes;
   u.acked.assign(meta->fragCount, false);
+  u.ackedCount = 0;
+  u.retries = 0;
   u.reportDone = reportDone;
+  u.timeoutPending = false;
+  u.timer = {};
   u.meta = std::move(meta);
-  unacked_.emplace(msgId, std::move(u));
+}
+
+void ReliableLink::release(std::uint64_t msgId) {
+  auto& slot = window_[static_cast<std::size_t>(front_ + (msgId - base_))];
+  slot->meta = {};  // hand the payload back to its pool now
+  free_.push_back(std::move(slot));
+  while (front_ < window_.size() && window_[front_] == nullptr) {
+    ++front_;
+    ++base_;
+  }
+  // Compact once the retired prefix is half the window: amortized O(1)
+  // per message, and the window's capacity is reused.
+  if (front_ * 2 >= window_.size()) {
+    window_.erase(window_.begin(),
+                  window_.begin() + static_cast<std::ptrdiff_t>(front_));
+    front_ = 0;
+  }
 }
 
 bool ReliableLink::arm(std::uint64_t msgId, Time base) {
-  auto it = unacked_.find(msgId);
-  if (it == unacked_.end()) return false;
+  Unacked* u = find(msgId);
+  if (u == nullptr) return false;
   Time rto = rel_.ackTimeout;
-  for (int i = 0; i < it->second.retries; ++i) rto *= rel_.backoff;
-  it->second.timer.cancel();
-  it->second.timer =
-      sim_.scheduleAt(base + rto, [this, msgId] { onTimer(msgId); });
+  for (int i = 0; i < u->retries; ++i) rto *= rel_.backoff;
+  u->timer.cancel();
+  u->timer = sim_.scheduleAt(base + rto, [this, msgId] { onTimer(msgId); });
   return true;
 }
 
 void ReliableLink::onTimer(std::uint64_t msgId) {
   timeouts_.add();
-  auto it = unacked_.find(msgId);
+  Unacked* u = find(msgId);
   // Stale (fully acked meanwhile), or the hook still holds this message.
-  if (it == unacked_.end() || it->second.timeoutPending) return;
-  it->second.timeoutPending = true;
+  if (u == nullptr || u->timeoutPending) return;
+  u->timeoutPending = true;
   onTimeout_(msgId);
 }
 
 bool ReliableLink::onAck(const WirePayload& ack) {
-  auto it = unacked_.find(ack.msgId);
-  if (it == unacked_.end()) return false;  // duplicate ack after completion
-  Unacked& u = it->second;
-  if (ack.ackFragIndex >= u.acked.size() || u.acked[ack.ackFragIndex])
+  Unacked* u = find(ack.msgId);
+  if (u == nullptr) return false;  // duplicate ack after completion
+  if (ack.ackFragIndex >= u->acked.size() || u->acked[ack.ackFragIndex])
     return false;
-  u.acked[ack.ackFragIndex] = true;
-  if (++u.ackedCount < u.acked.size()) return false;
-  u.timer.cancel();
-  const bool report = u.reportDone;
-  unacked_.erase(it);
+  u->acked[ack.ackFragIndex] = true;
+  if (++u->ackedCount < u->acked.size()) return false;
+  u->timer.cancel();
+  const bool report = u->reportDone;
+  release(ack.msgId);
   return report;
 }
 
@@ -115,9 +147,9 @@ void ReliableLink::checkBudget(std::uint64_t msgId, const Unacked& u) const {
 
 std::optional<ReliableLink::RetransmitPlan> ReliableLink::plan(
     std::uint64_t msgId) const {
-  auto it = unacked_.find(msgId);
-  if (it == unacked_.end()) return std::nullopt;  // acked meanwhile: stale
-  const Unacked& u = it->second;
+  const Unacked* found = find(msgId);
+  if (found == nullptr) return std::nullopt;  // acked meanwhile: stale
+  const Unacked& u = *found;
   checkBudget(msgId, u);
   RetransmitPlan p{u.meta->kind, 0};
   for (std::uint32_t i = 0; i < u.acked.size(); ++i)
@@ -126,9 +158,9 @@ std::optional<ReliableLink::RetransmitPlan> ReliableLink::plan(
 }
 
 const ReliableLink::Unacked& ReliableLink::beginRound(std::uint64_t msgId) {
-  auto it = unacked_.find(msgId);
-  COMB_ASSERT(it != unacked_.end(), "retransmit of a fully-acked message");
-  Unacked& u = it->second;
+  Unacked* found = find(msgId);
+  COMB_ASSERT(found != nullptr, "retransmit of a fully-acked message");
+  Unacked& u = *found;
   checkBudget(msgId, u);
   ++u.retries;
   u.timeoutPending = false;
@@ -169,9 +201,36 @@ void ReliableLink::sendAck(net::NodeId dst, std::uint64_t msgId,
   fabric_.inject(node_, dst, rel_.ackBytes, ackPayload(msgId, fragIndex));
 }
 
+std::uint64_t ReliableLink::seenBits(net::NodeId src,
+                                     const WirePayload& frag) {
+  const auto idx = static_cast<std::size_t>(src);
+  if (idx >= rxSeen_.size()) rxSeen_.resize(idx + 1);
+  std::vector<SeenMsg>& seen = rxSeen_[idx];
+  auto at = seen.end();
+  if (!seen.empty() && seen.back().msgId >= frag.msgId) {
+    if (seen.back().msgId == frag.msgId) return seen.back().bitOffset;
+    at = std::lower_bound(
+        seen.begin(), seen.end(), frag.msgId,
+        [](const SeenMsg& m, std::uint64_t id) { return m.msgId < id; });
+    if (at->msgId == frag.msgId) return at->bitOffset;
+  }
+  const std::uint64_t offset = rxBitsUsed_;
+  rxBitsUsed_ += frag.fragCount;
+  rxBits_.resize(static_cast<std::size_t>((rxBitsUsed_ + 63) / 64), 0);
+  seen.insert(at, SeenMsg{frag.msgId, offset});
+  return offset;
+}
+
 bool ReliableLink::firstSighting(net::NodeId src, const WirePayload& frag,
                                  bool reackDuplicate) {
-  if (rxSeen_[{src, frag.msgId}].insert(frag.fragIndex).second) return true;
+  COMB_ASSERT(frag.fragIndex < frag.fragCount, "fragment index out of range");
+  const std::uint64_t bit = seenBits(src, frag) + frag.fragIndex;
+  std::uint64_t& word = rxBits_[static_cast<std::size_t>(bit >> 6)];
+  const std::uint64_t mask = std::uint64_t{1} << (bit & 63);
+  if ((word & mask) == 0) {
+    word |= mask;
+    return true;
+  }
   if (reackDuplicate) sendAck(src, frag.msgId, frag.fragIndex);
   duplicates_.add();
   if (sim_.tracing())

@@ -16,15 +16,28 @@
 //
 // On a lossless fabric the link is disabled: track() keeps nothing, so no
 // timer is ever scheduled and no ack is ever sent.
+//
+// The books are flat, so the per-fragment path allocates only when a
+// table outgrows its largest size so far:
+//  * Sender: a window of record pointers indexed by `msgId - base`.
+//    Message ids are per-NIC and increase at every track(); ids the NIC
+//    spends on untracked packets (GM's firmware acks) leave empty slots.
+//    Fully acked records go back to a free list, and the window's front
+//    advances past empty slots. Records never move, so the reference
+//    beginRound() returns stays valid across later track() calls.
+//  * Receiver: per source, a vector of {msgId, bit offset} sorted by
+//    msgId, over one shared fragment-bit pool (fragCount bits per
+//    message, taken at its first sighting). A new id is usually the
+//    source's newest and appends; a late first sighting of an older id
+//    is a binary-search insert. Entries are never dropped, so duplicates
+//    arriving after delivery are still caught.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/metrics.hpp"
@@ -118,7 +131,8 @@ class ReliableLink {
   std::optional<RetransmitPlan> plan(std::uint64_t msgId) const;
   /// Open msgId's next retransmission round: charge the retry budget
   /// (throws comb::Error once spent) and hand the record back for the
-  /// caller to resend its unacked fragments.
+  /// caller to resend its unacked fragments. The reference stays valid
+  /// until msgId's last ack, however many messages are tracked meanwhile.
   const Unacked& beginRound(std::uint64_t msgId);
   /// Count `frags` resent fragments and trace them as `<tag>:retransmit`.
   void noteRetransmits(std::uint64_t frags);
@@ -146,9 +160,22 @@ class ReliableLink {
   std::uint64_t duplicatesFiltered() const { return duplicates_.value(); }
 
  private:
+  /// One receiver-side entry: where msgId's fragment bits start.
+  struct SeenMsg {
+    std::uint64_t msgId;
+    std::uint64_t bitOffset;
+  };
+
   void onTimer(std::uint64_t msgId);
   /// Throws comb::Error once msgId has spent its retry budget.
   void checkBudget(std::uint64_t msgId, const Unacked& u) const;
+  /// msgId's record, or nullptr when it is not tracked.
+  Unacked* find(std::uint64_t msgId) const;
+  /// Free msgId's record (its last ack landed) and retire the empty
+  /// slots at the window's front.
+  void release(std::uint64_t msgId);
+  /// First bit of `frag`'s message in rxBits_, taken on first sighting.
+  std::uint64_t seenBits(net::NodeId src, const transport::WirePayload& frag);
 
   sim::Simulator& sim_;
   net::Fabric& fabric_;
@@ -165,10 +192,18 @@ class ReliableLink {
   /// Fragment payloads recycle through this free list (zero steady-state
   /// allocation on the transmit path).
   transport::WirePayloadPool pool_;
-  std::map<std::uint64_t, Unacked> unacked_;  ///< by msgId
-  /// Fragments already seen per (source, message).
-  std::map<std::pair<net::NodeId, std::uint64_t>, std::set<std::uint32_t>>
-      rxSeen_;
+  /// Tracked messages: window_[front_ + (msgId - base_)], empty for an
+  /// id that is untracked or fully acked.
+  std::vector<std::unique_ptr<Unacked>> window_;
+  std::size_t front_ = 0;
+  std::uint64_t base_ = 0;
+  /// Retired records, reused by track().
+  std::vector<std::unique_ptr<Unacked>> free_;
+  /// Messages seen per source node, sorted by msgId.
+  std::vector<std::vector<SeenMsg>> rxSeen_;
+  /// Fragment-seen bits of every message in rxSeen_.
+  std::vector<std::uint64_t> rxBits_;
+  std::uint64_t rxBitsUsed_ = 0;
 };
 
 }  // namespace comb::nic

@@ -153,6 +153,12 @@ class ShardContext {
                  double a = 0, double b = 0) {
     if (traceLog_) traceLog_->emit(now_, cat, node, label, a, b);
   }
+  /// Like emitTrace but stamped at `t` (an emitter acting on behalf of a
+  /// later instant, e.g. a link serializing a packet handed over early).
+  void emitTraceAt(Time t, TraceCategory cat, int node, std::string_view label,
+                   double a = 0, double b = 0) {
+    if (traceLog_) traceLog_->emit(t, cat, node, label, a, b);
+  }
   void emitTraceBegin(TraceCategory cat, int node, std::string_view label,
                       double a = 0) {
     if (traceLog_) traceLog_->beginSpan(now_, cat, node, label, a);

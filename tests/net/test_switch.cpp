@@ -6,6 +6,8 @@
 
 #include "common/error.hpp"
 #include "common/units.hpp"
+#include "net/fabric.hpp"
+#include "sim/tracelog.hpp"
 
 namespace comb::net {
 namespace {
@@ -102,6 +104,91 @@ TEST(Switch, UnboundedPathDelivers) {
   EXPECT_EQ(f.delivered[1].size(), 2u);
   EXPECT_EQ(f.sw->dropsQueue(), 0u);
   EXPECT_EQ(f.sw->queuePeakPackets(), 0u);  // bounded-queue machinery off
+}
+
+// The idealized crossbar hands a packet to the output link at inject
+// time: a packet crossing a star costs its uplink and downlink arrivals
+// only, and lands exactly where a separate routing event would put it.
+TEST(Switch, IdealizedStarCostsTwoEventsPerPacket) {
+  Simulator sim;
+  FabricConfig cfg;
+  cfg.link.rate = 100e6;
+  cfg.link.latency = 1_us;
+  cfg.sw.routingLatency = 0.5_us;
+  Fabric fabric(sim, cfg);
+  std::vector<Time> arrivals;
+  fabric.addNode([](Packet) {});
+  fabric.addNode([&](Packet) { arrivals.push_back(sim.now()); });
+  fabric.inject(0, 1, 1000, nullptr);
+  sim.run();
+  EXPECT_EQ(sim.eventsExecuted(), 2u);
+  ASSERT_EQ(arrivals.size(), 1u);
+  const Time occupy = transferTime(1000 + cfg.perPacketHeader, cfg.link.rate);
+  const Time atSwitch = occupy + cfg.link.latency;  // injected at t = 0
+  const Time start = atSwitch + cfg.sw.routingLatency;
+  EXPECT_EQ(arrivals[0], start + occupy + cfg.link.latency);
+}
+
+TEST(Switch, ConvergingInputsAtOneInstantKeepFifoOrder) {
+  Simulator sim;
+  FabricConfig cfg;
+  cfg.link.rate = 100e6;
+  cfg.link.latency = 1_us;
+  Fabric fabric(sim, cfg);
+  std::vector<Packet> got;
+  std::vector<Time> at;
+  fabric.addNode([](Packet) {});
+  fabric.addNode([](Packet) {});
+  fabric.addNode([&](Packet p) {
+    got.push_back(std::move(p));
+    at.push_back(sim.now());
+  });
+  // Identical uplinks: both packets reach the switch at the same instant.
+  fabric.inject(1, 2, 1000, nullptr);
+  fabric.inject(0, 2, 1000, nullptr);
+  sim.run();
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].src, 1);
+  EXPECT_EQ(got[1].src, 0);
+  // The second serializes behind the first on the shared downlink.
+  EXPECT_DOUBLE_EQ(at[1] - at[0],
+                   transferTime(1000 + cfg.perPacketHeader, cfg.link.rate));
+}
+
+TEST(Switch, DownlinkDropIsTracedAtRoutingTime) {
+  SwitchConfig cfg;
+  cfg.routingLatency = 0.5_us;
+  SwitchFixture f(cfg);
+  f.linkCfg.fault = parseFaultSpec("drop=1,seed=1");
+  f.addDest(0);
+  sim::TraceLog log;
+  f.sim.attachTraceLog(&log);
+  f.sim.scheduleAt(3_us, [&f] { f.sw->inject(mkPacket(1, 0, 100, 4)); });
+  f.sim.run();
+  EXPECT_TRUE(f.delivered[0].empty());
+  ASSERT_EQ(log.count(sim::TraceCategory::Fault), 1u);
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    const sim::TraceRecord& r = log.record(i);
+    if (r.cat != sim::TraceCategory::Fault) continue;
+    EXPECT_EQ(log.labelName(r.label), "down0:drop");
+    EXPECT_EQ(r.t, 3_us + cfg.routingLatency);
+  }
+}
+
+TEST(Switch, EventsPerPacketByQueueModel) {
+  // Unbounded: the downlink arrival only. Bounded: the routing event
+  // that enqueues, the downlink arrival and the drain re-check.
+  for (const int depth : {0, 4}) {
+    SCOPED_TRACE(depth);
+    SwitchConfig cfg;
+    cfg.queue.depthPackets = depth;
+    SwitchFixture f(cfg);
+    f.addDest(0);
+    f.sw->inject(mkPacket(1, 0, 100, 1));
+    f.sim.run();
+    ASSERT_EQ(f.delivered[0].size(), 1u);
+    EXPECT_EQ(f.sim.eventsExecuted(), depth == 0 ? 1u : 3u);
+  }
 }
 
 TEST(Switch, TailDropOverflowsFiniteQueue) {

@@ -1,6 +1,8 @@
 // ReliableLink unit tests: the ack/retransmit/dedup engine shared by the
 // NIC models, driven directly — backoff schedule, ack bookkeeping,
-// receive-side dedup, the retry budget, and the lossless no-op.
+// receive-side dedup, the retry budget, the lossless no-op, and the edges
+// of the flat books (id holes, out-of-order first sightings, messages
+// wider than one 64-bit word, record addresses that must not move).
 #include "nic/reliable_link.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -52,13 +55,14 @@ struct Fixture {
         link(sim, fabric, n0, {"test", "Test"}, rel,
              [this](std::uint64_t msgId) { hook(msgId); }) {}
 
-  /// Track a kMsgBytes message to node 1 carrying a data buffer.
-  MessageMeta track(std::uint64_t msgId, bool reportDone = true) {
+  /// Track a `bytes` message to node 1 carrying a data buffer.
+  MessageMeta track(std::uint64_t msgId, bool reportDone = true,
+                    Bytes bytes = kMsgBytes) {
     auto data = std::make_shared<const std::vector<std::byte>>(8);
-    auto meta = link.describe(WireKind::Eager, msgId, kMsgBytes,
-                              mpi::Envelope{0, 0, 1}, kMsgBytes,
+    auto meta = link.describe(WireKind::Eager, msgId, bytes,
+                              mpi::Envelope{0, 0, 1}, bytes,
                               std::move(data), 0, 0);
-    link.track(n1, kMsgBytes, meta, reportDone);
+    link.track(n1, bytes, meta, reportDone);
     return meta;
   }
 
@@ -67,11 +71,12 @@ struct Fixture {
   }
 };
 
-WirePayload fragment(std::uint64_t msgId, std::uint32_t index) {
+WirePayload fragment(std::uint64_t msgId, std::uint32_t index,
+                     std::uint32_t count = 2) {
   WirePayload wp;
   wp.msgId = msgId;
   wp.fragIndex = index;
-  wp.fragCount = 2;
+  wp.fragCount = count;
   return wp;
 }
 
@@ -184,6 +189,143 @@ TEST(ReliableLink, DuplicateIsCaughtAfterItsMessageCompleted) {
   EXPECT_EQ(ack->kind, WireKind::Ack);
   EXPECT_EQ(ack->msgId, 7u);
   EXPECT_EQ(ack->ackFragIndex, 1u);
+}
+
+TEST(ReliableLink, OlderMessageFirstSeenAfterANewerOne) {
+  Fixture f("drop=0.000001,seed=1");
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(9, 0), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(5, 1), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(7, 0), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(5, 0), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(9, 1), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(3, 1), false));
+  // Each message keeps its own bits, whatever order they were taken in.
+  const std::pair<std::uint64_t, std::uint32_t> seen[] = {
+      {9, 0}, {5, 1}, {7, 0}, {5, 0}, {9, 1}, {3, 1}};
+  for (const auto& [id, frag] : seen)
+    EXPECT_FALSE(f.link.firstSighting(f.n1, fragment(id, frag), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(7, 1), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(3, 0), false));
+  EXPECT_FALSE(f.link.firstSighting(f.n1, fragment(3, 0), false));
+  // The same ids from another source are different messages.
+  EXPECT_TRUE(f.link.firstSighting(f.n0, fragment(5, 0), false));
+  EXPECT_EQ(f.link.duplicatesFiltered(), 7u);
+}
+
+TEST(ReliableLink, UntrackedIdsLeaveHolesInTheWindow) {
+  // GM spends message ids on its untracked firmware acks, so the tracked
+  // ids of one NIC can skip.
+  Fixture f("drop=0.5,seed=1");
+  f.track(1);
+  f.track(4);
+  f.track(6, /*reportDone=*/false);
+  for (const std::uint64_t hole : {0, 2, 3, 5, 7}) {
+    SCOPED_TRACE(hole);
+    EXPECT_FALSE(f.ack(hole, 0));
+    EXPECT_FALSE(f.link.plan(hole).has_value());
+    EXPECT_FALSE(f.link.arm(hole, 0.0));
+  }
+  // Complete the middle message first: the window's front stays put.
+  for (std::uint32_t i = 0; i < 2; ++i) EXPECT_FALSE(f.ack(4, i));
+  EXPECT_TRUE(f.ack(4, 2));
+  EXPECT_FALSE(f.link.plan(4).has_value());
+  EXPECT_TRUE(f.link.plan(1).has_value());
+  EXPECT_TRUE(f.link.plan(6).has_value());
+  for (std::uint32_t i = 0; i < 2; ++i) EXPECT_FALSE(f.ack(1, i));
+  EXPECT_TRUE(f.ack(1, 2));
+  // Only 6 is left; a later id is tracked past a fresh hole.
+  f.track(40);
+  EXPECT_TRUE(f.link.plan(6).has_value());
+  EXPECT_TRUE(f.link.plan(40).has_value());
+  for (std::uint32_t i = 0; i < 3; ++i) EXPECT_FALSE(f.ack(6, i));
+  EXPECT_FALSE(f.link.plan(6).has_value());
+  for (std::uint32_t i = 0; i < 2; ++i) EXPECT_FALSE(f.ack(40, i));
+  EXPECT_TRUE(f.ack(40, 2));
+  // An emptied window restarts at the next id.
+  f.track(41);
+  EXPECT_TRUE(f.link.plan(41).has_value());
+  EXPECT_FALSE(f.link.plan(40).has_value());
+}
+
+TEST(ReliableLink, DuplicateOfARetiredMessageIsFilteredAndReacked) {
+  Fixture f("drop=0.000001,seed=1");
+  // Many messages from node 1, every fragment seen, so message 1 is long
+  // delivered and far behind the newest entry.
+  for (std::uint64_t id = 1; id <= 200; ++id)
+    for (std::uint32_t i = 0; i < 2; ++i)
+      ASSERT_TRUE(f.link.firstSighting(f.n1, fragment(id, i), false));
+  // GM: filtered, no re-ack (it acks every healthy fragment itself).
+  EXPECT_FALSE(f.link.firstSighting(f.n1, fragment(1, 1), false));
+  f.sim.run();
+  EXPECT_TRUE(f.at1.empty());
+  // Portals/RDMA: filtered and re-acked, the first ack may have been lost.
+  EXPECT_FALSE(f.link.firstSighting(f.n1, fragment(1, 0), true));
+  EXPECT_FALSE(f.link.firstSighting(f.n1, fragment(100, 1), true));
+  EXPECT_EQ(f.link.duplicatesFiltered(), 3u);
+  f.sim.run();
+  ASSERT_EQ(f.at1.size(), 2u);
+  const auto* ack = net::payloadAs<WirePayload>(f.at1[0]);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(ack->kind, WireKind::Ack);
+  EXPECT_EQ(ack->msgId, 1u);
+  EXPECT_EQ(ack->ackFragIndex, 0u);
+  ack = net::payloadAs<WirePayload>(f.at1[1]);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(ack->msgId, 100u);
+  EXPECT_EQ(ack->ackFragIndex, 1u);
+}
+
+TEST(ReliableLink, MessagesWiderThanOneBitWord) {
+  Fixture f("drop=0.5,seed=1");
+  // Receiver: 100 fragments straddle two 64-bit words; the neighbouring
+  // 3-fragment messages must not share any of their bits.
+  constexpr std::uint32_t kWide = 100;
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(1, 0, 3), false));
+  for (std::uint32_t i = 0; i < kWide; i += 2)
+    EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(2, i, kWide), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(3, 2, 3), false));
+  for (std::uint32_t i = 1; i < kWide; i += 2)
+    EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(2, i, kWide), false));
+  for (std::uint32_t i = 0; i < kWide; ++i)
+    EXPECT_FALSE(f.link.firstSighting(f.n1, fragment(2, i, kWide), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(1, 1, 3), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(1, 2, 3), false));
+  EXPECT_TRUE(f.link.firstSighting(f.n1, fragment(3, 0, 3), false));
+  EXPECT_EQ(f.link.duplicatesFiltered(), kWide);
+
+  // Sender: completion lands on the last of 100 acks, in any order.
+  const MessageMeta meta = f.track(5, true, kWide * f.fabric.mtu());
+  ASSERT_EQ(meta->fragCount, kWide);
+  for (std::uint32_t i = kWide - 1; i > 0; --i) EXPECT_FALSE(f.ack(5, i));
+  const auto plan = f.link.plan(5);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->missingBytes, f.fabric.mtu());
+  EXPECT_TRUE(f.ack(5, 0));
+  EXPECT_FALSE(f.link.plan(5).has_value());
+}
+
+TEST(ReliableLink, RoundRecordStaysValidWhileMoreMessagesAreTracked) {
+  Fixture f("drop=0.5,seed=1");
+  f.track(1);
+  EXPECT_FALSE(f.ack(1, 1));
+  const ReliableLink::Unacked& u = f.link.beginRound(1);
+  // Enough later messages to grow the window and the record pool many
+  // times over, with completions recycling records in between.
+  for (std::uint64_t id = 2; id < 2000; ++id) {
+    f.track(id);
+    if (id % 3 == 0)
+      for (std::uint32_t i = 0; i < 3; ++i) f.ack(id, i);
+  }
+  EXPECT_EQ(u.retries, 1);
+  EXPECT_EQ(u.dst, f.n1);
+  EXPECT_EQ(u.wireBytes, kMsgBytes);
+  EXPECT_EQ(u.meta->msgId, 1u);
+  ASSERT_EQ(u.acked.size(), 3u);
+  EXPECT_FALSE(u.acked[0]);
+  EXPECT_TRUE(u.acked[1]);
+  EXPECT_FALSE(f.ack(1, 0));
+  EXPECT_TRUE(u.acked[0]);
+  EXPECT_EQ(&f.link.beginRound(1), &u);
 }
 
 TEST(ReliableLink, ReplayThrowsOnceTheBudgetIsSpent) {
