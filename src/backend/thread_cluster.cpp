@@ -118,19 +118,18 @@ void ThreadMpi::completeRecvLocked(std::uint64_t handle,
   transport::deliverData(data, st.userDst);
 }
 
+void ThreadMpi::matchLocked(InboxMsg msg) {
+  if (auto rec = match_.matchArrival(msg.env, msg.bytes))
+    completeRecvLocked(rec->cookie, msg.env, msg.bytes, msg.data);
+  else
+    match_.addUnexpected(msg.env, msg.bytes, std::move(msg.data));
+}
+
 void ThreadMpi::progressLocked() {
   while (!inbox_.empty()) {
     InboxMsg msg = std::move(inbox_.front());
     inbox_.pop_front();
-    if (auto rec = match_.matchArrival(msg.env)) {
-      COMB_ASSERT(msg.bytes <= rec->maxBytes,
-                  "message exceeds posted receive buffer");
-      completeRecvLocked(rec->cookie, msg.env, msg.bytes, msg.data);
-    } else {
-      const std::uint64_t id = nextUnexId_++;
-      unexpected_[id] = UnexRec{msg.env, msg.bytes, msg.data};
-      match_.addUnexpected(msg.env, msg.bytes, id);
-    }
+    matchLocked(std::move(msg));
   }
 }
 
@@ -140,15 +139,7 @@ void ThreadMpi::acceptMessage(InboxMsg msg, bool senderMatches) {
     if (senderMatches) {
       // Application offload: the sender's thread performs the match, so
       // the receive completes with no receiver-side library call.
-      if (auto rec = match_.matchArrival(msg.env)) {
-        COMB_ASSERT(msg.bytes <= rec->maxBytes,
-                    "message exceeds posted receive buffer");
-        completeRecvLocked(rec->cookie, msg.env, msg.bytes, msg.data);
-      } else {
-        const std::uint64_t id = nextUnexId_++;
-        unexpected_[id] = UnexRec{msg.env, msg.bytes, msg.data};
-        match_.addUnexpected(msg.env, msg.bytes, id);
-      }
+      matchLocked(std::move(msg));
     } else {
       // Library-driven progress: park the bytes until the receiver calls
       // into the library.
@@ -191,14 +182,8 @@ Immediate<mpi::Request> ThreadMpi::irecv(const mpi::Comm& comm, mpi::Rank src,
   states_[req.id] = ReqState{true, false, mpi::Status{}, dstBuf};
   progressLocked();  // a post is a library call: drain the inbox first
   const mpi::Pattern pattern{comm.id(), src, tag};
-  if (auto u = match_.matchUnexpected(pattern)) {
-    const auto it = unexpected_.find(u->xportHandle);
-    COMB_ASSERT(it != unexpected_.end(), "stale unexpected record");
-    COMB_ASSERT(it->second.bytes <= maxBytes,
-                "unexpected message exceeds posted receive buffer");
-    completeRecvLocked(req.id, it->second.env, it->second.bytes,
-                       it->second.data);
-    unexpected_.erase(it);
+  if (auto u = match_.matchUnexpected(pattern, maxBytes)) {
+    completeRecvLocked(req.id, u->env, u->bytes, u->held);
   } else {
     match_.postRecv(pattern, maxBytes, req.id);
   }
@@ -272,7 +257,8 @@ Immediate<bool> ThreadMpi::iprobe(const mpi::Comm& comm, mpi::Rank src,
                                   mpi::Tag tag, mpi::Status* status) {
   std::lock_guard lock(mu_);
   progressLocked();
-  if (auto u = match_.peekUnexpected(mpi::Pattern{comm.id(), src, tag})) {
+  if (const auto* u =
+          match_.peekUnexpected(mpi::Pattern{comm.id(), src, tag})) {
     if (status) *status = mpi::Status{u->env.srcRank, u->env.tag, u->bytes};
     return ready(true);
   }

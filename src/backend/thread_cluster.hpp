@@ -100,6 +100,8 @@ class ThreadMpi {
   };
 
   void progressLocked();  // requires mu_ held
+  /// Match an arrival against posted receives, or queue it unexpected.
+  void matchLocked(InboxMsg msg);  // requires mu_ held
   void completeRecvLocked(std::uint64_t handle, const mpi::Envelope& env,
                           Bytes bytes, const transport::DataBuffer& data);
   /// Deliver from a (possibly remote) sender thread.
@@ -109,17 +111,11 @@ class ThreadMpi {
   mpi::Comm world_;
 
   std::mutex mu_;
-  mpi::MatchEngine match_;
+  /// Unexpected messages hold their payload inline.
+  mpi::MatchEngine<transport::DataBuffer> match_;
   std::deque<InboxMsg> inbox_;  // undelivered raw messages (no-offload mode)
-  struct UnexRec {
-    mpi::Envelope env;
-    Bytes bytes;
-    transport::DataBuffer data;
-  };
-  std::unordered_map<std::uint64_t, UnexRec> unexpected_;
   std::unordered_map<std::uint64_t, ReqState> states_;
   std::uint64_t nextReq_ = 1;
-  std::uint64_t nextUnexId_ = 1;
 
   std::atomic<std::uint64_t> activity_{0};
 };

@@ -1,12 +1,18 @@
 // MPI message-matching engine: the posted-receive list and the unexpected
 // message queue, with MPI's ordering rules.
 //
-// This is pure logic with no simulation dependencies, deliberately: the GM
-// transport instantiates it "in the library" (driven by MPI calls), the
-// Portals transport instantiates it "in the kernel" (driven by interrupt
-// handlers), and the native thread backend wraps it in a mutex. One
-// matching semantics, three drivers — mirroring how MPICH layered over GM
-// and Portals in the paper.
+// This is pure logic with no simulation dependencies, deliberately: every
+// simulated stack runs the same engine from its transport::Endpoint — GM
+// and the progress thread "in the library" (driven by MPI calls or a
+// progress engine), Portals "in the kernel" (driven by interrupt
+// handlers), RDMA "in the NIC" (the hardware match unit) — and the native
+// thread backend wraps it in a mutex. One matching semantics, five
+// drivers — mirroring how MPICH layered over GM and Portals in the paper.
+//
+// The engine is a template on `Held`, the driver's own record of an
+// unexpected message (its payload and whatever the driver needs to finish
+// it later), stored inline beside the envelope: no driver keeps a side
+// table.
 //
 // Ordering rules implemented (MPI 1.1 §3.5 "non-overtaking"):
 //  * posted receives are matched against an arrival in post order;
@@ -15,18 +21,25 @@
 //  * two messages from the same sender that both match a receive are
 //    consumed in send order (guaranteed because arrivals are processed in
 //    order and queue FIFO).
+//
+// Both directions check the size rule: a message longer than the receive
+// that takes it is a fatal error, whichever side arrived first.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <optional>
+#include <utility>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 #include "mpi/types.hpp"
 
 namespace comb::mpi {
 
-/// Opaque per-engine identifier for posted receives / unexpected entries.
+/// Caller-chosen identifier of a posted receive (typically the MPI-layer
+/// request handle).
 using MatchCookie = std::uint64_t;
 
 struct PostedRecv {
@@ -35,39 +48,80 @@ struct PostedRecv {
   Bytes maxBytes = 0;
 };
 
+/// A queued unexpected message, with the driver's record held inline.
+template <class Held>
 struct UnexpectedMsg {
-  MatchCookie cookie = 0;
   Envelope env;
   Bytes bytes = 0;
-  /// Transport-defined handle (e.g. kernel buffer id or sender's request
-  /// handle for a rendezvous RTS).
-  std::uint64_t xportHandle = 0;
+  Held held;
 };
 
+template <class Held>
 class MatchEngine {
  public:
-  /// Add a receive to the posted list under a caller-chosen cookie
-  /// (typically the MPI-layer request handle).
-  void postRecv(const Pattern& pattern, Bytes maxBytes, MatchCookie cookie);
+  using Unexpected = UnexpectedMsg<Held>;
 
-  /// Match an arriving envelope against posted receives (in post order).
-  /// On success the receive is removed and returned.
-  std::optional<PostedRecv> matchArrival(const Envelope& env);
+  /// Add a receive to the posted list under a caller-chosen cookie.
+  void postRecv(const Pattern& pattern, Bytes maxBytes, MatchCookie cookie) {
+    posted_.push_back(PostedRecv{cookie, pattern, maxBytes});
+  }
+
+  /// Match an arriving `bytes`-long message against posted receives (in
+  /// post order). On success the receive is removed and returned.
+  std::optional<PostedRecv> matchArrival(const Envelope& env, Bytes bytes) {
+    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+      if (!it->pattern.matches(env)) continue;
+      COMB_ASSERT(bytes <= it->maxBytes,
+                  "message exceeds posted receive buffer");
+      PostedRecv hit = *it;
+      posted_.erase(it);
+      return hit;
+    }
+    return std::nullopt;
+  }
 
   /// Remove a posted receive (MPI_Cancel). Returns false if it already
   /// matched (too late to cancel).
-  bool cancelRecv(MatchCookie cookie);
+  bool cancelRecv(MatchCookie cookie) {
+    const auto it = std::find_if(
+        posted_.begin(), posted_.end(),
+        [cookie](const PostedRecv& r) { return r.cookie == cookie; });
+    if (it == posted_.end()) return false;
+    posted_.erase(it);
+    return true;
+  }
 
   /// Queue an unexpected message (no posted receive matched).
-  MatchCookie addUnexpected(const Envelope& env, Bytes bytes,
-                            std::uint64_t xportHandle);
+  void addUnexpected(const Envelope& env, Bytes bytes, Held held) {
+    unexpected_.push_back(Unexpected{env, bytes, std::move(held)});
+    unexpectedBytes_ += bytes;
+  }
 
-  /// Match a new receive pattern against queued unexpected messages (in
-  /// arrival order). On success the entry is removed and returned.
-  std::optional<UnexpectedMsg> matchUnexpected(const Pattern& pattern);
+  /// Claim the earliest queued message a new receive of `maxBytes`
+  /// matches (in arrival order). On success the entry is removed and
+  /// returned.
+  std::optional<Unexpected> matchUnexpected(const Pattern& pattern,
+                                            Bytes maxBytes) {
+    for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
+      if (!pattern.matches(it->env)) continue;
+      COMB_ASSERT(it->bytes <= maxBytes,
+                  "unexpected message exceeds posted receive buffer");
+      Unexpected hit = std::move(*it);
+      unexpected_.erase(it);
+      COMB_ASSERT(unexpectedBytes_ >= hit.bytes, "unexpected byte underflow");
+      unexpectedBytes_ -= hit.bytes;
+      return hit;
+    }
+    return std::nullopt;
+  }
 
-  /// Probe: like matchUnexpected but non-consuming.
-  std::optional<UnexpectedMsg> peekUnexpected(const Pattern& pattern) const;
+  /// Probe: the entry matchUnexpected would claim, without consuming it
+  /// (null when none matches).
+  const Unexpected* peekUnexpected(const Pattern& pattern) const {
+    for (const auto& msg : unexpected_)
+      if (pattern.matches(msg.env)) return &msg;
+    return nullptr;
+  }
 
   std::size_t postedCount() const { return posted_.size(); }
   std::size_t unexpectedCount() const { return unexpected_.size(); }
@@ -75,9 +129,8 @@ class MatchEngine {
 
  private:
   std::deque<PostedRecv> posted_;
-  std::deque<UnexpectedMsg> unexpected_;
+  std::deque<Unexpected> unexpected_;
   Bytes unexpectedBytes_ = 0;
-  MatchCookie nextCookie_ = 1;
 };
 
 }  // namespace comb::mpi

@@ -62,4 +62,10 @@ struct WirePayload : net::PayloadBase, WireFields {
   const WireFields& fields() const { return *this; }
 };
 
+/// A whole inbound message as the receive path hands it on: the wire
+/// fields of its fragment 0 (data included) and the node that sent it.
+struct Arrival : WireFields {
+  net::NodeId srcNode = -1;
+};
+
 }  // namespace comb::transport

@@ -117,13 +117,18 @@ TEST(GmNic, ControlPacketOvertakesQueuedData) {
 TEST(GmNic, SendDoneReportedAtDmaCompletion) {
   Fixture f;
   f.nic0.sendMessage(1, WireKind::Data, env(0, 1), 50 * 1024, 50 * 1024,
-                     nullptr, 1, 0, /*reportSendDone=*/true);
+                     nullptr, 41, 0, /*reportSendDone=*/true);
   Time sendDoneAt = -1;
+  std::uint64_t handle = 0;
   while (f.sim.step()) {
     while (auto ev = f.nic0.pop()) {
-      if (ev->type == GmEvent::Type::SendDone) sendDoneAt = f.sim.now();
+      if (ev->type != GmEvent::Type::SendDone) continue;
+      sendDoneAt = f.sim.now();
+      handle = ev->senderHandle;
     }
   }
+  // The completion names the send by the MPI handle it carried.
+  EXPECT_EQ(handle, 41u);
   // 13 fragments x (4096+64) bytes at 100 MB/s ~ 0.53 ms of serialization
   // (the last fragment is short).
   ASSERT_GT(sendDoneAt, 0.0);
@@ -136,11 +141,15 @@ TEST(GmNic, EventHookFiresOnArrivalAndSendDone) {
   int hooks0 = 0, hooks1 = 0;
   f.nic0.setEventHook([&] { ++hooks0; });
   f.nic1.setEventHook([&] { ++hooks1; });
-  f.nic0.sendMessage(1, WireKind::Eager, env(0, 1), 512, 512, nullptr, 1, 0,
+  f.nic0.sendMessage(1, WireKind::Eager, env(0, 1), 512, 512, nullptr, 7, 0,
                      /*reportSendDone=*/true);
   while (f.sim.step()) f.pumpDeliveries();
   EXPECT_EQ(hooks0, 1);  // SendDone
   EXPECT_EQ(hooks1, 1);  // MsgArrived
+  const auto done = f.nic0.pop();
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->type, GmEvent::Type::SendDone);
+  EXPECT_EQ(done->senderHandle, 7u);
 }
 
 TEST(GmNic, InterleavedMessagesToSameDestination) {

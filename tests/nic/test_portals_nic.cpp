@@ -14,6 +14,7 @@ namespace comb::nic {
 namespace {
 
 using namespace comb::units;
+using transport::WireFields;
 using transport::WireKind;
 using transport::WirePayload;
 
@@ -77,7 +78,11 @@ TEST(PortalsNic, RxRaisesInterruptPerFragment) {
 TEST(PortalsNic, TxDoneFiresOnceAtLastFragment) {
   Fixture f;
   std::vector<std::uint64_t> done;
-  f.nic0->setTxDoneHandler([&](std::uint64_t id) { done.push_back(id); });
+  std::vector<std::uint64_t> handles;
+  f.nic0->setTxDoneHandler([&](const WireFields& msg) {
+    done.push_back(msg.msgId);
+    handles.push_back(msg.senderHandle);
+  });
   const auto idA = f.nic0->sendMessage(1, WireKind::Eager, env(0, 1),
                                        50 * 1024, 50 * 1024, nullptr, 1, 0);
   const auto idB = f.nic0->sendMessage(1, WireKind::Eager, env(0, 2), 512,
@@ -87,6 +92,8 @@ TEST(PortalsNic, TxDoneFiresOnceAtLastFragment) {
   // FIFO kernel pump: A completes before B.
   EXPECT_EQ(done[0], idA);
   EXPECT_EQ(done[1], idB);
+  // Each completion carries the handle its message was sent with.
+  EXPECT_EQ(handles, (std::vector<std::uint64_t>{1, 2}));
 }
 
 TEST(PortalsNic, InterruptsPreemptUserCompute) {

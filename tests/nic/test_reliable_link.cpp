@@ -55,21 +55,35 @@ struct Fixture {
         link(sim, fabric, n0, {"test", "Test"}, rel,
              [this](std::uint64_t msgId) { hook(msgId); }) {}
 
-  /// Track a `bytes` message to node 1 carrying a data buffer.
+  /// Track a `bytes` message to node 1 carrying a data buffer, sent on
+  /// behalf of MPI handle senderHandleOf(msgId).
   MessageMeta track(std::uint64_t msgId, bool reportDone = true,
                     Bytes bytes = kMsgBytes) {
     auto data = std::make_shared<const std::vector<std::byte>>(8);
     auto meta = link.describe(WireKind::Eager, msgId, bytes,
                               mpi::Envelope{0, 0, 1}, bytes,
-                              std::move(data), 0, 0);
+                              std::move(data), senderHandleOf(msgId), 0);
     link.track(n1, bytes, meta, reportDone);
     return meta;
   }
 
-  bool ack(std::uint64_t msgId, std::uint32_t frag) {
+  static std::uint64_t senderHandleOf(std::uint64_t msgId) {
+    return 1000 + msgId;
+  }
+
+  MessageMeta ack(std::uint64_t msgId, std::uint32_t frag) {
     return link.onAck(*link.ackPayload(msgId, frag));
   }
 };
+
+// The last ack of a reported message hands back that message's metadata,
+// MPI handle included.
+void expectCompleted(const MessageMeta& done, std::uint64_t msgId) {
+  ASSERT_TRUE(done);
+  EXPECT_EQ(done->msgId, msgId);
+  EXPECT_EQ(done->senderHandle, Fixture::senderHandleOf(msgId));
+  EXPECT_EQ(done->kind, WireKind::Eager);
+}
 
 WirePayload fragment(std::uint64_t msgId, std::uint32_t index,
                      std::uint32_t count = 2) {
@@ -153,7 +167,7 @@ TEST(ReliableLink, StaleDuplicateAndOutOfRangeAcksAreIgnored) {
   EXPECT_EQ(plan->kind, WireKind::Eager);
   EXPECT_EQ(plan->missingBytes, 1808u);
 
-  EXPECT_TRUE(f.ack(1, 2));   // completion, reported once
+  expectCompleted(f.ack(1, 2), 1);  // completion, reported once
   EXPECT_FALSE(f.ack(1, 2));  // stale
   EXPECT_FALSE(f.ack(1, 0));
   EXPECT_FALSE(f.link.plan(1).has_value());
@@ -227,12 +241,12 @@ TEST(ReliableLink, UntrackedIdsLeaveHolesInTheWindow) {
   }
   // Complete the middle message first: the window's front stays put.
   for (std::uint32_t i = 0; i < 2; ++i) EXPECT_FALSE(f.ack(4, i));
-  EXPECT_TRUE(f.ack(4, 2));
+  expectCompleted(f.ack(4, 2), 4);
   EXPECT_FALSE(f.link.plan(4).has_value());
   EXPECT_TRUE(f.link.plan(1).has_value());
   EXPECT_TRUE(f.link.plan(6).has_value());
   for (std::uint32_t i = 0; i < 2; ++i) EXPECT_FALSE(f.ack(1, i));
-  EXPECT_TRUE(f.ack(1, 2));
+  expectCompleted(f.ack(1, 2), 1);
   // Only 6 is left; a later id is tracked past a fresh hole.
   f.track(40);
   EXPECT_TRUE(f.link.plan(6).has_value());
@@ -240,7 +254,7 @@ TEST(ReliableLink, UntrackedIdsLeaveHolesInTheWindow) {
   for (std::uint32_t i = 0; i < 3; ++i) EXPECT_FALSE(f.ack(6, i));
   EXPECT_FALSE(f.link.plan(6).has_value());
   for (std::uint32_t i = 0; i < 2; ++i) EXPECT_FALSE(f.ack(40, i));
-  EXPECT_TRUE(f.ack(40, 2));
+  expectCompleted(f.ack(40, 2), 40);
   // An emptied window restarts at the next id.
   f.track(41);
   EXPECT_TRUE(f.link.plan(41).has_value());
@@ -300,7 +314,7 @@ TEST(ReliableLink, MessagesWiderThanOneBitWord) {
   const auto plan = f.link.plan(5);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->missingBytes, f.fabric.mtu());
-  EXPECT_TRUE(f.ack(5, 0));
+  expectCompleted(f.ack(5, 0), 5);
   EXPECT_FALSE(f.link.plan(5).has_value());
 }
 
