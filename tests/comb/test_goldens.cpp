@@ -104,7 +104,7 @@ TEST(Goldens, LossyPollingGm100Kb) {
 TEST(Goldens, LossyPollingPortals100Kb) {
   expectLossyGolden(
       backend::portalsMachine(),
-      {56831218.52, 0.07387851899, 215, {1906, 0, 1933, 607, 933}});
+      {57439132.55, 0.06661323155, 241, {2184, 0, 2210, 685, 1038}});
 }
 
 TEST(Goldens, LossyPollingProgressThread100Kb) {
@@ -114,7 +114,7 @@ TEST(Goldens, LossyPollingProgressThread100Kb) {
 
 TEST(Goldens, LossyPollingRdma100Kb) {
   expectLossyGolden(backend::rdmaMachine(),
-                    {67034178.61, 0.9853914002, 19, {188, 0, 188, 73, 99}});
+                    {63513723.06, 0.9855102428, 18, {182, 0, 182, 72, 99}});
 }
 
 }  // namespace
