@@ -95,11 +95,15 @@ build_asan() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo &&
     cmake --build build-asan -j --target test_tracelog test_trace_export \
       test_audit test_progress_thread test_rdma test_reliable_link \
-      test_switch test_link test_fabric test_fault test_fault_injection
+      test_switch test_link test_fabric test_fault test_fault_injection \
+      test_match test_stress test_gm_nic test_portals_nic
 }
+# The packet path and the shared receive path (messages move in and out
+# of the reassembler, the send-order gate and the matcher's queues).
 asan_link() {
   ctest_checked build-asan -R '^(ReliableLink|Switch|Link|Fabric)\.' &&
-    ctest_checked build-asan -L faults
+    ctest_checked build-asan -L faults &&
+    ctest_checked build-asan -L receive
 }
 build_ubsan() {
   cmake -B build-ubsan -S . -DCOMB_SANITIZE=undefined \
