@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "common/string_util.hpp"
 #include "nic/reliable_link.hpp"
+#include "transport/reliability.hpp"
 
 namespace comb::backend {
 
@@ -191,7 +192,12 @@ net::FaultCounters SimCluster::faultCounters() const {
 }
 
 void SimCluster::run() {
-  exec_.run();
+  try {
+    exec_.run();
+  } catch (transport::RetryBudgetExhausted& e) {
+    e.fault = faultCounters();  // the run's counters up to the collapse
+    throw;
+  }
   COMB_ASSERT(exec_.liveProcesses() == 0,
               "simulation drained with suspended processes (deadlock)");
   // A no-route drop is a fabric wiring bug, never a legitimate outcome —

@@ -64,6 +64,7 @@ struct FaultCounters {
     duplicatesFiltered += o.duplicatesFiltered;
     return *this;
   }
+  bool operator==(const FaultCounters&) const = default;
   bool any() const {
     return dropsInjected || corruptsInjected || retransmits ||
            timeoutWakeups || duplicatesFiltered;

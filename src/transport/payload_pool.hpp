@@ -60,10 +60,6 @@ class WirePayloadPool {
   }
 
   // --- introspection (tests, benchmarks) ---------------------------------
-  std::size_t freeCount() const {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    return state_->free.size();
-  }
   std::uint64_t allocated() const {
     std::lock_guard<std::mutex> lock(state_->mu);
     return state_->allocated;

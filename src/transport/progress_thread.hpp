@@ -67,7 +67,6 @@ class ProgressThreadEndpoint final : public GmEndpoint {
   sim::Task<void> progress() override;
   bool applicationOffload() const override { return true; }
 
-  const ProgressThreadConfig& threadConfig() const { return ptCfg_; }
   /// Engine wakeups that actually ran (drain sessions).
   std::uint64_t engineWakeups() const { return engineWakeups_; }
 
