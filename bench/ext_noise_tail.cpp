@@ -51,33 +51,6 @@ std::vector<RepRun<PollingPoint>> noiseSweep(
       jobs);
 }
 
-bool sameTail(const TailSummary& a, const TailSummary& b) {
-  return a.count == b.count && a.mean == b.mean && a.min == b.min &&
-         a.max == b.max && a.p50 == b.p50 && a.p90 == b.p90 &&
-         a.p99 == b.p99 && a.p999 == b.p999;
-}
-
-bool samePoint(const PollingPoint& a, const PollingPoint& b) {
-  return a.availability == b.availability &&
-         a.bandwidthBps == b.bandwidthBps && a.liveTime == b.liveTime &&
-         a.messagesReceived == b.messagesReceived &&
-         a.shardImbalance == b.shardImbalance &&
-         sameTail(a.sendTail, b.sendTail) && sameTail(a.recvTail, b.recvTail);
-}
-
-template <typename F>
-report::Series burstSeries(const std::string& name,
-                           const std::vector<std::uint64_t>& burstsUs,
-                           const std::vector<PollingPoint>& pts, F&& yOf) {
-  report::Series s;
-  s.name = name;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    s.xs.push_back(static_cast<double>(burstsUs[i]));
-    s.ys.push_back(yOf(pts[i]));
-  }
-  return s;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -122,8 +95,8 @@ int main(int argc, char** argv) {
       "the progress loop alike, so the live fraction holds while the "
       "latency tail (below) stretches — noise hides from mean-based "
       "metrics");
-  availFig.addSeries(burstSeries("GM", burstsUs, gm, availOf));
-  availFig.addSeries(burstSeries("Portals", burstsUs, portals, availOf));
+  availFig.addSeries(makeSeries("GM", burstsUs, gm, availOf));
+  availFig.addSeries(makeSeries("Portals", burstsUs, portals, availOf));
   availFig.render(std::cout);
   if (args.csv)
     std::cout << "csv: " << availFig.writeCsvFile(args.outDir) << '\n';
@@ -135,10 +108,10 @@ int main(int argc, char** argv) {
       "p999 receive latency stretches with the daemon burst while the "
       "median stays near the quiet baseline: noise is a tail "
       "phenomenon, invisible to mean-based gating");
-  auto gmP50 = burstSeries("GM p50", burstsUs, gm, p50Of);
-  auto gmP999 = burstSeries("GM p999", burstsUs, gm, p999Of);
-  auto ptlP50 = burstSeries("Portals p50", burstsUs, portals, p50Of);
-  auto ptlP999 = burstSeries("Portals p999", burstsUs, portals, p999Of);
+  auto gmP50 = makeSeries("GM p50", burstsUs, gm, p50Of);
+  auto gmP999 = makeSeries("GM p999", burstsUs, gm, p999Of);
+  auto ptlP50 = makeSeries("Portals p50", burstsUs, portals, p50Of);
+  auto ptlP999 = makeSeries("Portals p999", burstsUs, portals, p999Of);
 
   std::vector<report::ShapeCheck> checks;
 
@@ -183,7 +156,7 @@ int main(int argc, char** argv) {
 
   bool bitIdentical = gmSerial.size() == gmReps.size();
   for (std::size_t i = 0; bitIdentical && i < gmReps.size(); ++i)
-    bitIdentical = samePoint(gmReps[i].canonical(), gmSerial[i].canonical());
+    bitIdentical = gmReps[i].canonical() == gmSerial[i].canonical();
   checks.push_back(report::ShapeCheck{
       strFormat("bit-identical results (incl. tails) for --jobs 1 vs "
                 "--jobs %d",

@@ -50,33 +50,6 @@ std::vector<RepRun<PollingPoint>> progressSweep(
       machine, sweepOver(presets::pollingBase(msgBytes), intervals), opts);
 }
 
-bool sameTail(const TailSummary& a, const TailSummary& b) {
-  return a.count == b.count && a.mean == b.mean && a.min == b.min &&
-         a.max == b.max && a.p50 == b.p50 && a.p90 == b.p90 &&
-         a.p99 == b.p99 && a.p999 == b.p999;
-}
-
-bool samePoint(const PollingPoint& a, const PollingPoint& b) {
-  return a.availability == b.availability &&
-         a.bandwidthBps == b.bandwidthBps && a.liveTime == b.liveTime &&
-         a.messagesReceived == b.messagesReceived &&
-         a.shardImbalance == b.shardImbalance &&
-         sameTail(a.sendTail, b.sendTail) && sameTail(a.recvTail, b.recvTail);
-}
-
-template <typename F>
-report::Series stackSeries(const std::string& name,
-                           const std::vector<std::uint64_t>& xs,
-                           const std::vector<PollingPoint>& pts, F&& yOf) {
-  report::Series s;
-  s.name = name;
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    s.xs.push_back(static_cast<double>(xs[i]));
-    s.ys.push_back(yOf(pts[i]));
-  }
-  return s;
-}
-
 double minAvail(const std::vector<PollingPoint>& pts) {
   double v = 1.0;
   for (const auto& p : pts) v = std::min(v, p.availability);
@@ -164,9 +137,9 @@ int main(int argc, char** argv) {
       "a message's completion waits for the next library call");
 
   for (const auto& s : stacks) {
-    availFig.addSeries(stackSeries(s.label, intervals, s.points, availOf));
-    bwFig.addSeries(stackSeries(s.label, intervals, s.points, bwOf));
-    tailFig.addSeries(stackSeries(s.label, intervals, s.points, p999Of));
+    availFig.addSeries(makeSeries(s.label, intervals, s.points, availOf));
+    bwFig.addSeries(makeSeries(s.label, intervals, s.points, bwOf));
+    tailFig.addSeries(makeSeries(s.label, intervals, s.points, p999Of));
   }
 
   availFig.render(std::cout);
@@ -276,7 +249,7 @@ int main(int argc, char** argv) {
   bool bitIdentical = ptSerial.size() == stacks[2].reps.size();
   for (std::size_t i = 0; bitIdentical && i < ptSerial.size(); ++i)
     bitIdentical =
-        samePoint(stacks[2].reps[i].canonical(), ptSerial[i].canonical());
+        stacks[2].reps[i].canonical() == ptSerial[i].canonical();
   checks.push_back(report::ShapeCheck{
       strFormat("bit-identical results (incl. tails) for --jobs 1 vs "
                 "--jobs %d",

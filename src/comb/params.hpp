@@ -56,6 +56,8 @@ struct PollingPoint {
   /// Executor load imbalance (sim/executor shardImbalance): 1.0 for the
   /// serial core and perfectly balanced shards.
   double shardImbalance = 1.0;
+
+  bool operator==(const PollingPoint&) const = default;
 };
 
 // ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ struct TailSummary {
   double p90 = 0;
   double p99 = 0;
   double p999 = 0;
+
+  bool operator==(const TailSummary&) const = default;
 };
 
 class LatencyRecorder {
