@@ -52,8 +52,8 @@ int main(int argc, char** argv) {
       auto machine = backend::gmMachine();
       machine.gm.eagerThreshold = thr;
       auto base = presets::pollingBase(msg);
-      const auto pts = runPollingSweep(machine, sweepOver(base, intervals),
-                                       args.opts);
+      const auto pts = runSweep(machine, sweepOver(base, intervals),
+                                args.opts);
       s.xs.push_back(static_cast<double>(thr) / 1024.0);
       s.ys.push_back(availAtPeak(pts));
     }

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     machine.portals.nic.perFragRx = isrUs * 1e-6;
     auto base = presets::pollingBase(100_KB);
     base.pollInterval = 10'000;  // on the plateau
-    const auto pt = runPollingPoint(machine, base);
+    const auto pt = runPoint(machine, base);
     bw.xs.push_back(isrUs);
     bw.ys.push_back(toMBps(pt.bandwidthBps));
     avail.xs.push_back(isrUs);

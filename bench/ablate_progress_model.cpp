@@ -34,14 +34,14 @@ int main(int argc, char** argv) {
     auto base = presets::pwwBase(100_KB);
     base.workInterval = 2'000'000;
     base.testCallAtFraction = frac;
-    const auto pt = runPwwPoint(backend::gmMachine(), base);
+    const auto pt = runPoint(backend::gmMachine(), base);
     s.xs.push_back(frac);
     s.ys.push_back(pt.avgWaitPerMsg * 1e6);
   }
   // Reference: no call at all.
   auto plain = presets::pwwBase(100_KB);
   plain.workInterval = 2'000'000;
-  const auto noCall = runPwwPoint(backend::gmMachine(), plain);
+  const auto noCall = runPoint(backend::gmMachine(), plain);
 
   std::vector<report::ShapeCheck> checks;
   checks.push_back(report::ShapeCheck{

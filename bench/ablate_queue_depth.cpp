@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
       auto base = presets::pollingBase(100_KB);
       base.queueDepth = q;
       base.pollInterval = 10'000;
-      const auto pt = runPollingPoint(machine, base);
+      const auto pt = runPoint(machine, base);
       s.xs.push_back(q);
       s.ys.push_back(toMBps(pt.bandwidthBps));
     }

@@ -28,7 +28,7 @@ void pollingTable(const backend::MachineConfig& m, Bytes msgBytes) {
         100'000'000ull}) {
     auto base = bench::presets::pollingBase(msgBytes);
     base.pollInterval = interval;
-    const auto pt = bench::runPollingPoint(m, base);
+    const auto pt = bench::runPoint(m, base);
     t.addRow({strFormat("%llu", (unsigned long long)pt.pollInterval),
               strFormat("%.2f", toMBps(pt.bandwidthBps)),
               strFormat("%.3f", pt.availability),
@@ -47,7 +47,7 @@ void pwwTable(const backend::MachineConfig& m, Bytes msgBytes) {
        {10'000ull, 100'000ull, 1'000'000ull, 10'000'000ull}) {
     auto base = bench::presets::pwwBase(msgBytes);
     base.workInterval = interval;
-    const auto pt = bench::runPwwPoint(m, base);
+    const auto pt = bench::runPoint(m, base);
     t.addRow({strFormat("%llu", (unsigned long long)pt.workInterval),
               strFormat("%.2f", toMBps(pt.bandwidthBps)),
               strFormat("%.3f", pt.availability),

@@ -87,7 +87,7 @@ std::vector<DropPoint> faultSweep(const backend::MachineConfig& machine,
           opts.fault->dropProb = drop;
           opts.fault->seed = seed;
           try {
-            const auto run = runPollingPoint(m, base, opts);
+            const auto run = runPoint(m, base, opts);
             p.bandwidthSum += run.bandwidthBps;
             p.availSum += run.availability;
             p.fault += run.fault;

@@ -22,9 +22,9 @@ int main(int argc, char** argv) {
   spec.base.reps = 30;
   spec.values = sizes;
   const auto gmRuns =
-      runLatencySweepReps(backend::gmMachine(), spec, args.opts);
+      runSweepReps(backend::gmMachine(), spec, args.opts);
   const auto portalsRuns =
-      runLatencySweepReps(backend::portalsMachine(), spec, args.opts);
+      runSweepReps(backend::portalsMachine(), spec, args.opts);
   const auto gm = canonicalPoints(gmRuns);
   const auto portals = canonicalPoints(portalsRuns);
 
@@ -62,9 +62,9 @@ int main(int argc, char** argv) {
   fig.addSeries(std::move(gmS));
   fig.addSeries(std::move(ptlS));
   FigArchive archive("ext_latency_vs_size", args);
-  archive.addLatency("latency/gm", backend::gmMachine(), sizes, gmRuns);
-  archive.addLatency("latency/portals", backend::portalsMachine(), sizes,
-                     portalsRuns);
+  archive.add("latency/gm", backend::gmMachine(), sizes, gmRuns);
+  archive.add("latency/portals", backend::portalsMachine(), sizes,
+              portalsRuns);
   archive.write();
   return finishFigure(fig, checks, args);
 }

@@ -46,7 +46,7 @@ std::vector<RepRun<PollingPoint>> noiseSweep(
         // burst 0 = the quiet baseline: NoiseSpec{duration: 0} disables
         // the daemon model entirely, so point 0 doubles as the control.
         opts.noise = spec;
-        return runPollingPointReps(m, base, opts);
+        return runPointReps(m, base, opts);
       },
       jobs);
 }
@@ -164,9 +164,9 @@ int main(int argc, char** argv) {
       bitIdentical, ""});
 
   FigArchive archive("ext_noise_tail", args);
-  archive.addPolling("noise/gm", backend::gmMachine(), burstsUs, gmReps);
-  archive.addPolling("noise/portals", backend::portalsMachine(), burstsUs,
-                     ptlReps);
+  archive.add("noise/gm", backend::gmMachine(), burstsUs, gmReps);
+  archive.add("noise/portals", backend::portalsMachine(), burstsUs,
+              ptlReps);
   archive.write();
 
   fig.addSeries(std::move(gmP50));

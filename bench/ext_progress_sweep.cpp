@@ -46,7 +46,7 @@ std::vector<RepRun<PollingPoint>> progressSweep(
     int jobs) {
   RunOptions opts = args.opts;
   opts.jobs = jobs;
-  return runPollingSweepReps(
+  return runSweepReps(
       machine, sweepOver(presets::pollingBase(msgBytes), intervals), opts);
 }
 
@@ -258,15 +258,15 @@ int main(int argc, char** argv) {
 
   FigArchive archive("ext_progress_sweep", args);
   for (auto& s : stacks) {
-    archive.addPolling("progress/" + s.label + "/" + sizeLabel(headlineSize),
-                       s.machine, intervals, s.reps);
+    archive.add("progress/" + s.label + "/" + sizeLabel(headlineSize),
+                s.machine, intervals, s.reps);
     // The eager-size family only feeds the archive gate (no figure): it
     // covers the non-rendezvous protocol paths on every stack.
     if (archive.enabled())
-      archive.addPolling("progress/" + s.label + "/" + sizeLabel(eagerSize),
-                         s.machine, intervals,
-                         progressSweep(s.machine, eagerSize, intervals, args,
-                                       args.opts.jobs));
+      archive.add("progress/" + s.label + "/" + sizeLabel(eagerSize),
+                  s.machine, intervals,
+                  progressSweep(s.machine, eagerSize, intervals, args,
+                                args.opts.jobs));
   }
   archive.write();
 

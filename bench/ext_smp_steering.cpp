@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
 
   const auto intervals = presets::pollSweep(args.pointsPerDecade);
   const auto spec = sweepOver(presets::pollingBase(100_KB), intervals);
-  const auto uniRuns = runPollingSweepReps(uni, spec, args.opts);
-  const auto smpRuns = runPollingSweepReps(smp, spec, args.opts);
+  const auto uniRuns = runSweepReps(uni, spec, args.opts);
+  const auto smpRuns = runSweepReps(smp, spec, args.opts);
   const auto uniPts = canonicalPoints(uniRuns);
   const auto smpPts = canonicalPoints(smpRuns);
 
@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
   fig.addSeries(std::move(uniBw));
   fig.addSeries(std::move(smpBw));
   FigArchive archive("ext_smp_steering", args);
-  archive.addPolling("polling/portals/100 KB", uni, intervals, uniRuns);
-  archive.addPolling("polling/portals-smp/100 KB", smp, intervals, smpRuns);
+  archive.add("polling/portals/100 KB", uni, intervals, uniRuns);
+  archive.add("polling/portals-smp/100 KB", smp, intervals, smpRuns);
   archive.write();
   return finishFigure(fig, checks, args);
 }

@@ -16,8 +16,9 @@ int main(int argc, char** argv) {
   if (!args.parsedOk) return args.exitCode;
 
   const auto machine = backend::portalsMachine();
-  const auto fam = runPollingFamily(machine, presets::paperMessageSizes(),
-                                    args.pointsPerDecade, args.opts);
+  const auto fam =
+      runFamily(machine, presets::pollingBase, presets::paperMessageSizes(),
+                presets::pollSweep(args.pointsPerDecade), args.opts);
 
   report::Figure fig("fig04",
                      "Polling Method: CPU Availability (Portals)",
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
 
   std::vector<report::ShapeCheck> checks;
   for (std::size_t i = 0; i < fam.sizes.size(); ++i) {
-    auto s = makeSeries(sizeLabel(fam.sizes[i]), fam.intervals,
+    auto s = makeSeries(sizeLabel(fam.sizes[i]), fam.xs,
                         fam.results[i],
                         [](const PollingPoint& p) { return p.availability; });
     checks.push_back(report::checkRisesFromLowToHigh(
@@ -40,13 +41,13 @@ int main(int argc, char** argv) {
   }
 
   FigArchive archive("fig04_polling_avail_portals", args);
-  archivePollingFamily(archive, "polling/portals", machine, fam);
+  archive.add("polling/portals", machine, fam);
   archive.write();
 
   // --trace: re-run the middle sweep point (100KB family) fully traced.
   auto traced = presets::pollingBase(presets::paperMessageSizes().back());
-  traced.pollInterval = fam.intervals[fam.intervals.size() / 2];
-  const bool traceOk = maybeTracePolling(machine, traced, args);
+  traced.pollInterval = fam.xs[fam.xs.size() / 2];
+  const bool traceOk = maybeTrace(machine, traced, args);
 
   const int rc = finishFigure(fig, checks, args);
   return traceOk ? rc : std::max(rc, 1);

@@ -15,8 +15,9 @@ int main(int argc, char** argv) {
   if (!args.parsedOk) return args.exitCode;
 
   const auto machine = backend::portalsMachine();
-  const auto fam = runPollingFamily(machine, presets::paperMessageSizes(),
-                                    args.pointsPerDecade, args.opts);
+  const auto fam =
+      runFamily(machine, presets::pollingBase, presets::paperMessageSizes(),
+                presets::pollSweep(args.pointsPerDecade), args.opts);
 
   report::Figure fig("fig05", "Polling Method: Bandwidth (Portals)",
                      "poll_interval_iters", "bandwidth_MBps");
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
   std::vector<double> peak50KBplus;
   for (std::size_t i = 0; i < fam.sizes.size(); ++i) {
     auto s = makeSeries(
-        sizeLabel(fam.sizes[i]), fam.intervals, fam.results[i],
+        sizeLabel(fam.sizes[i]), fam.xs, fam.results[i],
         [](const PollingPoint& p) { return toMBps(p.bandwidthBps); });
     checks.push_back(report::checkPlateauThenDecline(
         "bandwidth plateau then decline (" + s.name + ")", s.ys, 0.2, 0.5));
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
     checks.push_back(std::move(c));
   }
   FigArchive archive("fig05_polling_bw_portals", args);
-  archivePollingFamily(archive, "polling/portals", machine, fam);
+  archive.add("polling/portals", machine, fam);
   archive.write();
   return finishFigure(fig, checks, args);
 }

@@ -16,8 +16,9 @@ int main(int argc, char** argv) {
   if (!args.parsedOk) return args.exitCode;
 
   const auto machine = backend::portalsMachine();
-  const auto fam = runPwwFamily(machine, presets::paperMessageSizes(),
-                                args.pointsPerDecade, -1.0, args.opts);
+  const auto fam =
+      runFamily(machine, presets::pwwBase, presets::paperMessageSizes(),
+                presets::workSweep(args.pointsPerDecade), args.opts);
 
   report::Figure fig("fig06", "PWW Method: CPU Availability (Portals)",
                      "work_interval_iters", "cpu_availability");
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
 
   std::vector<report::ShapeCheck> checks;
   for (std::size_t i = 0; i < fam.sizes.size(); ++i) {
-    auto s = makeSeries(sizeLabel(fam.sizes[i]), fam.intervals,
+    auto s = makeSeries(sizeLabel(fam.sizes[i]), fam.xs,
                         fam.results[i],
                         [](const PwwPoint& p) { return p.availability; });
     checks.push_back(report::checkRisesFromLowToHigh(
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
     fig.addSeries(std::move(s));
   }
   FigArchive archive("fig06_pww_avail_portals", args);
-  archivePwwFamily(archive, "pww/portals", machine, fam);
+  archive.add("pww/portals", machine, fam);
   archive.write();
   return finishFigure(fig, checks, args);
 }

@@ -14,8 +14,9 @@ int main(int argc, char** argv) {
   if (!args.parsedOk) return args.exitCode;
 
   const auto machine = backend::portalsMachine();
-  const auto fam = runPwwFamily(machine, presets::paperMessageSizes(),
-                                args.pointsPerDecade, -1.0, args.opts);
+  const auto fam =
+      runFamily(machine, presets::pwwBase, presets::paperMessageSizes(),
+                presets::workSweep(args.pointsPerDecade), args.opts);
 
   report::Figure fig("fig07", "PWW Method: Bandwidth (Portals)",
                      "work_interval_iters", "bandwidth_MBps");
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
   std::vector<report::Series> bySize;
   for (std::size_t i = 0; i < fam.sizes.size(); ++i) {
     auto s = makeSeries(
-        sizeLabel(fam.sizes[i]), fam.intervals, fam.results[i],
+        sizeLabel(fam.sizes[i]), fam.xs, fam.results[i],
         [](const PwwPoint& p) { return toMBps(p.bandwidthBps); });
     checks.push_back(report::checkEndsBelow(
         "bandwidth falls off at long work intervals (" + s.name + ")", s.ys,
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
     checks.push_back(std::move(c));
   }
   FigArchive archive("fig07_pww_bw_portals", args);
-  archivePwwFamily(archive, "pww/portals", machine, fam);
+  archive.add("pww/portals", machine, fam);
   archive.write();
   return finishFigure(fig, checks, args);
 }

@@ -18,9 +18,9 @@ int main(int argc, char** argv) {
   const auto intervals = presets::pollSweep(args.pointsPerDecade);
   const auto spec = sweepOver(presets::pollingBase(100_KB), intervals);
   const auto gmRuns =
-      runPollingSweepReps(backend::gmMachine(), spec, args.opts);
+      runSweepReps(backend::gmMachine(), spec, args.opts);
   const auto portalsRuns =
-      runPollingSweepReps(backend::portalsMachine(), spec, args.opts);
+      runSweepReps(backend::portalsMachine(), spec, args.opts);
   const auto gm = canonicalPoints(gmRuns);
   const auto portals = canonicalPoints(portalsRuns);
 
@@ -55,10 +55,10 @@ int main(int argc, char** argv) {
   fig.addSeries(std::move(gmSeries));
   fig.addSeries(std::move(ptlSeries));
   FigArchive archive("fig08_polling_bw_gm_vs_portals", args);
-  archive.addPolling("polling/gm/100 KB", backend::gmMachine(), intervals,
-                     gmRuns);
-  archive.addPolling("polling/portals/100 KB", backend::portalsMachine(),
-                     intervals, portalsRuns);
+  archive.add("polling/gm/100 KB", backend::gmMachine(), intervals,
+              gmRuns);
+  archive.add("polling/portals/100 KB", backend::portalsMachine(),
+              intervals, portalsRuns);
   archive.write();
   return finishFigure(fig, checks, args);
 }

@@ -18,9 +18,9 @@ int main(int argc, char** argv) {
   const auto intervals = presets::workSweep(args.pointsPerDecade);
   const auto spec = sweepOver(presets::pwwBase(100_KB), intervals);
   const auto gmRuns =
-      runPwwSweepReps(backend::gmMachine(), spec, args.opts);
+      runSweepReps(backend::gmMachine(), spec, args.opts);
   const auto portalsRuns =
-      runPwwSweepReps(backend::portalsMachine(), spec, args.opts);
+      runSweepReps(backend::portalsMachine(), spec, args.opts);
   const auto gm = canonicalPoints(gmRuns);
   const auto portals = canonicalPoints(portalsRuns);
 
@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
   fig.addSeries(std::move(gmSeries));
   fig.addSeries(std::move(ptlSeries));
   FigArchive archive("fig11_pww_wait_time", args);
-  archive.addPww("pww/gm/100 KB", backend::gmMachine(), intervals, gmRuns);
-  archive.addPww("pww/portals/100 KB", backend::portalsMachine(), intervals,
-                 portalsRuns);
+  archive.add("pww/gm/100 KB", backend::gmMachine(), intervals, gmRuns);
+  archive.add("pww/portals/100 KB", backend::portalsMachine(), intervals,
+              portalsRuns);
   archive.write();
   return finishFigure(fig, checks, args);
 }

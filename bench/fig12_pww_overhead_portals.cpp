@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
 
   const auto intervals = linearSweep();
   const auto runs =
-      runPwwSweepReps(backend::portalsMachine(),
-                      sweepOver(presets::pwwBase(100_KB), intervals),
-                      args.opts);
+      runSweepReps(backend::portalsMachine(),
+                   sweepOver(presets::pwwBase(100_KB), intervals),
+                   args.opts);
   const auto pts = canonicalPoints(runs);
 
   report::Figure fig("fig12", "PWW Method: CPU Overhead (Portals)",
@@ -64,15 +64,15 @@ int main(int argc, char** argv) {
   fig.addSeries(std::move(workOnly));
 
   FigArchive archive("fig12_pww_overhead_portals", args);
-  archive.addPww("pww/portals/100 KB", backend::portalsMachine(), intervals,
-                 runs);
+  archive.add("pww/portals/100 KB", backend::portalsMachine(), intervals,
+              runs);
   archive.write();
 
   // --trace: re-run the middle sweep point fully traced, export, audit.
   auto traced = presets::pwwBase(100_KB);
   traced.workInterval = intervals[intervals.size() / 2];
   const bool traceOk =
-      maybeTracePww(backend::portalsMachine(), traced, args);
+      maybeTrace(backend::portalsMachine(), traced, args);
 
   const int rc = finishFigure(fig, checks, args);
   return traceOk ? rc : std::max(rc, 1);

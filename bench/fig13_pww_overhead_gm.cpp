@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
 
   const auto intervals = linearSweep();
   const auto runs =
-      runPwwSweepReps(backend::gmMachine(),
-                      sweepOver(presets::pwwBase(100_KB), intervals),
-                      args.opts);
+      runSweepReps(backend::gmMachine(),
+                   sweepOver(presets::pwwBase(100_KB), intervals),
+                   args.opts);
   const auto pts = canonicalPoints(runs);
 
   report::Figure fig("fig13", "PWW Method: CPU Overhead (GM)",
@@ -57,13 +57,13 @@ int main(int argc, char** argv) {
   fig.addSeries(std::move(workOnly));
 
   FigArchive archive("fig13_pww_overhead_gm", args);
-  archive.addPww("pww/gm/100 KB", backend::gmMachine(), intervals, runs);
+  archive.add("pww/gm/100 KB", backend::gmMachine(), intervals, runs);
   archive.write();
 
   // --trace: re-run the middle sweep point fully traced, export, audit.
   auto traced = presets::pwwBase(100_KB);
   traced.workInterval = intervals[intervals.size() / 2];
-  const bool traceOk = maybeTracePww(backend::gmMachine(), traced, args);
+  const bool traceOk = maybeTrace(backend::gmMachine(), traced, args);
 
   const int rc = finishFigure(fig, checks, args);
   return traceOk ? rc : std::max(rc, 1);

@@ -19,8 +19,9 @@ int main(int argc, char** argv) {
   if (!args.parsedOk) return args.exitCode;
 
   const auto machine = backend::gmMachine();
-  const auto fam = runPollingFamily(machine, presets::paperMessageSizes(),
-                                    args.pointsPerDecade + 1, args.opts);
+  const auto fam =
+      runFamily(machine, presets::pollingBase, presets::paperMessageSizes(),
+                presets::pollSweep(args.pointsPerDecade + 1), args.opts);
 
   report::Figure fig("fig14",
                      "Polling Method: Bandwidth vs CPU Availability (GM)",
@@ -55,7 +56,7 @@ int main(int argc, char** argv) {
     fig.addSeries(std::move(s));
   }
   FigArchive archive("fig14_bw_vs_avail_gm", args);
-  archivePollingFamily(archive, "polling/gm", machine, fam);
+  archive.add("polling/gm", machine, fam);
   archive.write();
   return finishFigure(fig, checks, args);
 }

@@ -16,8 +16,9 @@ int main(int argc, char** argv) {
   if (!args.parsedOk) return args.exitCode;
 
   const auto machine = backend::portalsMachine();
-  const auto fam = runPollingFamily(machine, presets::paperMessageSizes(),
-                                    args.pointsPerDecade + 1, args.opts);
+  const auto fam =
+      runFamily(machine, presets::pollingBase, presets::paperMessageSizes(),
+                presets::pollSweep(args.pointsPerDecade + 1), args.opts);
 
   report::Figure fig(
       "fig15", "Polling Method: Bandwidth vs CPU Availability (Portals)",
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
     fig.addSeries(std::move(s));
   }
   FigArchive archive("fig15_bw_vs_avail_portals", args);
-  archivePollingFamily(archive, "polling/portals", machine, fam);
+  archive.add("polling/portals", machine, fam);
   archive.write();
   return finishFigure(fig, checks, args);
 }

@@ -19,11 +19,11 @@ int main(int argc, char** argv) {
 
   const auto pollIntervals = presets::pollSweep(args.pointsPerDecade + 1);
   const auto workIntervals = presets::workSweep(args.pointsPerDecade + 1);
-  const auto pollRuns = runPollingSweepReps(
+  const auto pollRuns = runSweepReps(
       backend::gmMachine(),
       sweepOver(presets::pollingBase(100_KB), pollIntervals),
       args.opts);
-  const auto pwwRuns = runPwwSweepReps(
+  const auto pwwRuns = runSweepReps(
       backend::gmMachine(),
       sweepOver(presets::pwwBase(100_KB), workIntervals), args.opts);
   const auto poll = canonicalPoints(pollRuns);
@@ -63,10 +63,10 @@ int main(int argc, char** argv) {
   fig.addSeries(std::move(pollS));
   fig.addSeries(std::move(pwwS));
   FigArchive archive("fig16_poll_vs_pww_gm", args);
-  archive.addPolling("polling/gm/100 KB", backend::gmMachine(),
-                     pollIntervals, pollRuns);
-  archive.addPww("pww/gm/100 KB", backend::gmMachine(), workIntervals,
-                 pwwRuns);
+  archive.add("polling/gm/100 KB", backend::gmMachine(),
+              pollIntervals, pollRuns);
+  archive.add("pww/gm/100 KB", backend::gmMachine(), workIntervals,
+              pwwRuns);
   archive.write();
   return finishFigure(fig, checks, args);
 }

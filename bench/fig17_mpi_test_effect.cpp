@@ -19,20 +19,20 @@ int main(int argc, char** argv) {
   if (!args.parsedOk) return args.exitCode;
 
   const auto pollIntervals = presets::pollSweep(args.pointsPerDecade + 1);
-  const auto pollRuns = runPollingSweepReps(
+  const auto pollRuns = runSweepReps(
       backend::gmMachine(),
       sweepOver(presets::pollingBase(100_KB), pollIntervals),
       args.opts);
   const auto workIntervals = presets::workSweep(args.pointsPerDecade + 1);
   const auto pwwRuns =
-      runPwwSweepReps(backend::gmMachine(),
-                      sweepOver(presets::pwwBase(100_KB), workIntervals),
-                      args.opts);
+      runSweepReps(backend::gmMachine(),
+                   sweepOver(presets::pwwBase(100_KB), workIntervals),
+                   args.opts);
   auto testBase = presets::pwwBase(100_KB);
   testBase.testCallAtFraction = 0.1;  // one MPI_Test early in the work phase
-  const auto pwwTestRuns = runPwwSweepReps(backend::gmMachine(),
-                                           sweepOver(testBase, workIntervals),
-                                           args.opts);
+  const auto pwwTestRuns = runSweepReps(backend::gmMachine(),
+                                        sweepOver(testBase, workIntervals),
+                                        args.opts);
   const auto poll = canonicalPoints(pollRuns);
   const auto pww = canonicalPoints(pwwRuns);
   const auto pwwTest = canonicalPoints(pwwTestRuns);
@@ -82,12 +82,12 @@ int main(int argc, char** argv) {
   fig.addSeries(std::move(pwwTestS));
   fig.addSeries(std::move(pwwS));
   FigArchive archive("fig17_mpi_test_effect", args);
-  archive.addPolling("polling/gm/100 KB", backend::gmMachine(),
-                     pollIntervals, pollRuns);
-  archive.addPww("pww/gm/100 KB", backend::gmMachine(), workIntervals,
-                 pwwRuns);
-  archive.addPww("pww+test/gm/100 KB", backend::gmMachine(), workIntervals,
-                 pwwTestRuns);
+  archive.add("polling/gm/100 KB", backend::gmMachine(),
+              pollIntervals, pollRuns);
+  archive.add("pww/gm/100 KB", backend::gmMachine(), workIntervals,
+              pwwRuns);
+  archive.add("pww+test/gm/100 KB", backend::gmMachine(), workIntervals,
+              pwwTestRuns);
   archive.write();
   return finishFigure(fig, checks, args);
 }

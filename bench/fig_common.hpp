@@ -17,8 +17,6 @@
 
 #include "backend/machine.hpp"
 #include "comb/archive_build.hpp"
-#include "comb/audit.hpp"
-#include "comb/congestion.hpp"
 #include "comb/presets.hpp"
 #include "comb/runner.hpp"
 #include "common/cli.hpp"
@@ -130,11 +128,41 @@ std::vector<Point> canonicalPoints(const std::vector<RepRun<Point>>& runs) {
   return points;
 }
 
+/// Sweeps of one method per message size: `repRuns` carries every
+/// repetition for the archive; `results` is the canonical rep-0 view the
+/// figures plot (many figures want availability or bandwidth of each).
+template <typename Param>
+struct Family {
+  std::vector<Bytes> sizes;
+  std::vector<std::uint64_t> xs;
+  // results[size][point]
+  std::vector<std::vector<PointOf<Param>>> results;
+  std::vector<std::vector<RepRun<PointOf<Param>>>> repRuns;
+};
+
+/// Sweep `xs` over the row's primary axis once per message size, from
+/// the preset base of each size (presets::pollingBase, presets::pwwBase).
+template <typename Param>
+Family<Param> runFamily(const backend::MachineConfig& machine,
+                        Param (*base)(Bytes), const std::vector<Bytes>& sizes,
+                        std::vector<std::uint64_t> xs,
+                        const RunOptions& opts = {}) {
+  Family<Param> fam;
+  fam.sizes = sizes;
+  fam.xs = std::move(xs);
+  for (const Bytes size : sizes) {
+    fam.repRuns.push_back(runSweepReps(machine, sweepOver(base(size), fam.xs),
+                                       opts));
+    fam.results.push_back(canonicalPoints(fam.repRuns.back()));
+  }
+  return fam;
+}
+
 /// Accumulates sweeps into a result archive when --archive was given;
 /// otherwise every call is a no-op. Typical figure-bench use:
 ///
 ///   FigArchive archive("fig05_polling_bw_portals", args);
-///   archive.addPolling("polling/portals", machine, fam);
+///   archive.add("polling/portals", machine, fam);
 ///   archive.write();
 class FigArchive {
  public:
@@ -145,28 +173,20 @@ class FigArchive {
 
   bool enabled() const { return !dir_.empty(); }
 
-  void addPolling(const std::string& id,
-                  const backend::MachineConfig& machine,
-                  const std::vector<std::uint64_t>& xs,
-                  const std::vector<RepRun<PollingPoint>>& runs) {
-    if (enabled()) appendPollingSweep(archive_, id, machine, xs, runs);
+  /// One sweep of any method (appendSweep).
+  template <typename Point>
+  void add(const std::string& id, const backend::MachineConfig& machine,
+           const std::vector<std::uint64_t>& xs,
+           const std::vector<RepRun<Point>>& runs) {
+    if (enabled()) appendSweep(archive_, id, machine, xs, runs);
   }
-  void addPww(const std::string& id, const backend::MachineConfig& machine,
-              const std::vector<std::uint64_t>& xs,
-              const std::vector<RepRun<PwwPoint>>& runs) {
-    if (enabled()) appendPwwSweep(archive_, id, machine, xs, runs);
-  }
-  void addLatency(const std::string& id,
-                  const backend::MachineConfig& machine,
-                  const std::vector<std::uint64_t>& xs,
-                  const std::vector<RepRun<LatencyPoint>>& runs) {
-    if (enabled()) appendLatencySweep(archive_, id, machine, xs, runs);
-  }
-  void addCongestion(const std::string& id,
-                     const backend::MachineConfig& machine,
-                     const std::vector<std::uint64_t>& xs,
-                     const std::vector<RepRun<CongestionPoint>>& runs) {
-    if (enabled()) appendCongestionSweep(archive_, id, machine, xs, runs);
+  /// Every per-size sweep of a family, under `<idPrefix>/<size label>`.
+  template <typename Param>
+  void add(const std::string& idPrefix, const backend::MachineConfig& machine,
+           const Family<Param>& fam) {
+    for (std::size_t i = 0; i < fam.sizes.size(); ++i)
+      add(idPrefix + "/" + sizeLabel(fam.sizes[i]), machine, fam.xs,
+          fam.repRuns[i]);
   }
 
   /// Write the archive file (creating the directory) and log its path.
@@ -181,79 +201,6 @@ class FigArchive {
   report::Archive archive_;
 };
 
-/// Convenience: polling sweeps per message size, returning both the
-/// availability and bandwidth views (many figures want one or the other).
-/// `repRuns` carries every repetition for the archive; `results` is the
-/// canonical rep-0 view the figures plot.
-struct PollingFamily {
-  std::vector<Bytes> sizes;
-  std::vector<std::uint64_t> intervals;
-  // results[size][point]
-  std::vector<std::vector<PollingPoint>> results;
-  std::vector<std::vector<RepRun<PollingPoint>>> repRuns;
-};
-
-inline PollingFamily runPollingFamily(const backend::MachineConfig& machine,
-                                      const std::vector<Bytes>& sizes,
-                                      int pointsPerDecade,
-                                      const RunOptions& opts = {}) {
-  PollingFamily fam;
-  fam.sizes = sizes;
-  fam.intervals = presets::pollSweep(pointsPerDecade);
-  for (const Bytes size : sizes) {
-    fam.repRuns.push_back(runPollingSweepReps(
-        machine, sweepOver(presets::pollingBase(size), fam.intervals), opts));
-    fam.results.push_back(canonicalPoints(fam.repRuns.back()));
-  }
-  return fam;
-}
-
-/// Archive every per-size sweep of a polling family under
-/// `<idPrefix>/<size label>`.
-inline void archivePollingFamily(FigArchive& archive,
-                                 const std::string& idPrefix,
-                                 const backend::MachineConfig& machine,
-                                 const PollingFamily& fam) {
-  for (std::size_t i = 0; i < fam.sizes.size(); ++i)
-    archive.addPolling(idPrefix + "/" + sizeLabel(fam.sizes[i]), machine,
-                       fam.intervals, fam.repRuns[i]);
-}
-
-struct PwwFamily {
-  std::vector<Bytes> sizes;
-  std::vector<std::uint64_t> intervals;
-  std::vector<std::vector<PwwPoint>> results;
-  std::vector<std::vector<RepRun<PwwPoint>>> repRuns;
-};
-
-inline PwwFamily runPwwFamily(const backend::MachineConfig& machine,
-                              const std::vector<Bytes>& sizes,
-                              int pointsPerDecade,
-                              double testCallAtFraction = -1.0,
-                              const RunOptions& opts = {}) {
-  PwwFamily fam;
-  fam.sizes = sizes;
-  fam.intervals = presets::workSweep(pointsPerDecade);
-  for (const Bytes size : sizes) {
-    auto base = presets::pwwBase(size);
-    base.testCallAtFraction = testCallAtFraction;
-    fam.repRuns.push_back(
-        runPwwSweepReps(machine, sweepOver(base, fam.intervals), opts));
-    fam.results.push_back(canonicalPoints(fam.repRuns.back()));
-  }
-  return fam;
-}
-
-/// Archive every per-size sweep of a PWW family (same contract as
-/// archivePollingFamily).
-inline void archivePwwFamily(FigArchive& archive, const std::string& idPrefix,
-                             const backend::MachineConfig& machine,
-                             const PwwFamily& fam) {
-  for (std::size_t i = 0; i < fam.sizes.size(); ++i)
-    archive.addPww(idPrefix + "/" + sizeLabel(fam.sizes[i]), machine,
-                   fam.intervals, fam.repRuns[i]);
-}
-
 template <typename Point, typename F>
 report::Series makeSeries(const std::string& name,
                           const std::vector<std::uint64_t>& xs,
@@ -267,13 +214,16 @@ report::Series makeSeries(const std::string& name,
   return s;
 }
 
-namespace detail {
-
-/// Export + audit one traced run. Returns true when the audited numbers
-/// match `auditErr`'s reported point (empty error string).
-template <typename Point>
-bool finishTrace(const TracedRun<Point>& run, const std::string& auditErr,
-                 double auditedAvailability, const FigArgs& args) {
+/// --trace support: re-run the representative point (by convention the
+/// middle of the sweep) fully traced, export the Chrome JSON, and audit
+/// the timeline against the runner-reported stats through the row.
+/// Returns true when no tracing was requested or the audit passed.
+template <typename Param>
+bool maybeTrace(const backend::MachineConfig& machine, const Param& params,
+                const FigArgs& args) {
+  if (args.traceFile.empty()) return true;
+  const auto run = runPointTraced(machine, params, args.opts);
+  const AuditResult audit = Method<Param>::audit(*run.trace, run.point);
   std::ofstream out(args.traceFile);
   if (!out) {
     std::fprintf(stderr, "--trace: cannot open '%s' for writing\n",
@@ -283,41 +233,15 @@ bool finishTrace(const TracedRun<Point>& run, const std::string& auditErr,
   report::writeChromeTrace(out, *run.trace);
   std::cout << "trace: wrote " << run.trace->size() << " record(s) to "
             << args.traceFile << " [" << run.trace->summary() << "]\n";
-  if (!auditErr.empty()) {
-    std::cout << "trace audit: FAIL — " << auditErr << '\n';
+  if (!audit.error.empty()) {
+    std::cout << "trace audit: FAIL — " << audit.error << '\n';
     return false;
   }
   std::cout << strFormat(
       "trace audit: OK — availability %.4f and per-phase times reproduced "
       "from span data within 1%%\n",
-      auditedAvailability);
+      audit.availability);
   return true;
-}
-
-}  // namespace detail
-
-/// --trace support for PWW figures: re-run the representative point (by
-/// convention the middle of the sweep) fully traced, export the Chrome
-/// JSON, and audit the timeline against the runner-reported stats.
-/// Returns true when no tracing was requested or the audit passed.
-inline bool maybeTracePww(const backend::MachineConfig& machine,
-                          const PwwParams& params, const FigArgs& args) {
-  if (args.traceFile.empty()) return true;
-  const auto run = runPwwPointTraced(machine, params, args.opts);
-  const auto audit = auditPww(*run.trace, 0);
-  return detail::finishTrace(run, checkPww(audit, run.point),
-                             audit.availability, args);
-}
-
-/// --trace support for polling figures (same contract as maybeTracePww).
-inline bool maybeTracePolling(const backend::MachineConfig& machine,
-                              const PollingParams& params,
-                              const FigArgs& args) {
-  if (args.traceFile.empty()) return true;
-  const auto run = runPollingPointTraced(machine, params, args.opts);
-  const auto audit = auditPolling(*run.trace, 0);
-  return detail::finishTrace(run, checkPolling(audit, run.point),
-                             audit.availability, args);
 }
 
 /// Parametric (x = one metric, y = another) series, e.g. bandwidth vs

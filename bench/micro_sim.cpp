@@ -14,7 +14,6 @@
 #include "sim/channel.hpp"
 #include "sim/executor.hpp"
 #include "sim/shard_context.hpp"
-#include "sim/simulator.hpp"
 #include "sim/task.hpp"
 #include "sim/tracelog.hpp"
 #include "transport/payload_pool.hpp"
@@ -28,7 +27,7 @@ using namespace comb::units;
 void BM_EventScheduleAndRun(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::Simulator sim;
+    sim::ShardContext sim;
     for (int i = 0; i < batch; ++i)
       sim.schedule(static_cast<Time>(i % 97) * 1_us, [] {});
     sim.run();
@@ -41,7 +40,7 @@ BENCHMARK(BM_EventScheduleAndRun)->Arg(1000)->Arg(10000)->Arg(100000);
 void BM_CancelledEvents(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::Simulator sim;
+    sim::ShardContext sim;
     for (int i = 0; i < batch; ++i) {
       auto h = sim.schedule(1_us, [] {});
       if (i % 2 == 0) h.cancel();
@@ -59,7 +58,7 @@ BENCHMARK(BM_CancelledEvents)->Arg(10000);
 // which pays simulator construction per iteration.
 void BM_EventPoolChurn(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));
-  sim::Simulator sim;
+  sim::ShardContext sim;
   for (auto _ : state) {
     for (int i = 0; i < batch; ++i)
       sim.schedule(static_cast<Time>(i % 13) * 1_us, [] {});
@@ -74,7 +73,7 @@ BENCHMARK(BM_EventPoolChurn)->Arg(1000)->Arg(10000);
 // on every interrupt. Exercises cancel() + slot recycling under churn.
 void BM_CancelStorm(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));
-  sim::Simulator sim;
+  sim::ShardContext sim;
   for (auto _ : state) {
     sim::EventHandle timer;
     for (int i = 0; i < batch; ++i) {
@@ -95,7 +94,7 @@ BENCHMARK(BM_CancelStorm)->Arg(10000);
 // downcast at the receiver — the inner loop of every figure sweep.
 void BM_PacketDelivery(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));
-  sim::Simulator sim;
+  sim::ShardContext sim;
   net::Fabric fabric(sim, net::FabricConfig{});
   std::uint64_t delivered = 0;
   const net::NodeId rx = fabric.addNode([&](net::Packet p) {
@@ -120,8 +119,8 @@ BENCHMARK(BM_PacketDelivery)->Arg(1000);
 void BM_CoroutineDelayLoop(benchmark::State& state) {
   const auto steps = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::Simulator sim;
-    auto proc = [](sim::Simulator& s, int n) -> sim::Task<void> {
+    sim::ShardContext sim;
+    auto proc = [](sim::ShardContext& s, int n) -> sim::Task<void> {
       for (int i = 0; i < n; ++i) co_await s.delay(1e-6);
     };
     sim.spawn(proc(sim, steps), "loop");
@@ -135,16 +134,16 @@ BENCHMARK(BM_CoroutineDelayLoop)->Arg(1000)->Arg(10000);
 void BM_ChannelPingPong(benchmark::State& state) {
   const auto rounds = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::Simulator sim;
+    sim::ShardContext sim;
     sim::Channel<int> a(sim), b(sim);
-    auto ping = [](sim::Simulator&, sim::Channel<int>& tx,
+    auto ping = [](sim::ShardContext&, sim::Channel<int>& tx,
                    sim::Channel<int>& rx, int n) -> sim::Task<void> {
       for (int i = 0; i < n; ++i) {
         tx.send(i);
         (void)co_await rx.recv();
       }
     };
-    auto pong = [](sim::Simulator&, sim::Channel<int>& rx,
+    auto pong = [](sim::ShardContext&, sim::Channel<int>& rx,
                    sim::Channel<int>& tx, int n) -> sim::Task<void> {
       for (int i = 0; i < n; ++i) {
         const int v = co_await rx.recv();
@@ -162,7 +161,7 @@ BENCHMARK(BM_ChannelPingPong)->Arg(1000);
 void BM_CpuComputeUnderInterrupts(benchmark::State& state) {
   const auto interrupts = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::Simulator sim;
+    sim::ShardContext sim;
     host::Cpu cpu(sim, "n0");
     auto proc = [](host::Cpu& c) -> sim::Task<void> {
       co_await c.compute(1.0);
@@ -187,7 +186,7 @@ void BM_InterruptPathTracing(benchmark::State& state) {
   const bool attached = state.range(1) != 0;
   sim::TraceLog log(1 << 16);
   for (auto _ : state) {
-    sim::Simulator sim;
+    sim::ShardContext sim;
     if (attached) sim.attachTraceLog(&log);
     host::Cpu cpu(sim, "n0");
     auto proc = [](host::Cpu& c) -> sim::Task<void> {
@@ -278,7 +277,7 @@ void BM_CongestionIncastSharded(benchmark::State& state) {
   bench::RunOptions opts;
   opts.simJobs = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    const auto point = bench::runCongestionPoint(machine, p, opts);
+    const auto point = bench::runPoint(machine, p, opts);
     benchmark::DoNotOptimize(point.messagesDelivered);
   }
   state.SetItemsProcessed(state.iterations() *

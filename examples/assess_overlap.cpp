@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   // 1. Polling sweep: the unfettered view.
   const auto pollIntervals = bench::logSweep(10, 100'000'000, 2);
-  const auto poll = bench::runPollingSweep(
+  const auto poll = bench::runSweep(
       machine,
       bench::sweepOver(bench::presets::pollingBase(msgBytes), pollIntervals));
   double peakBw = 0, bestAvailNearPeak = 0;
@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   // 2. PWW at a long work interval: offload + overhead verdicts.
   auto pwwParams = bench::presets::pwwBase(msgBytes);
   pwwParams.workInterval = 5'000'000;  // ~20 ms, >> exchange time
-  const auto pww = bench::runPwwPoint(machine, pwwParams);
+  const auto pww = bench::runPoint(machine, pwwParams);
 
   TextTable phases({"phase", "duration", "note"});
   phases.setAlign(TextTable::Align::Left);
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   // 3. Library-call effect.
   auto testParams = pwwParams;
   testParams.testCallAtFraction = 0.1;
-  const auto pwwTest = bench::runPwwPoint(machine, testParams);
+  const auto pwwTest = bench::runPoint(machine, testParams);
   const double waitDrop =
       pww.avgWaitPerMsg > 0
           ? 1.0 - pwwTest.avgWaitPerMsg / pww.avgWaitPerMsg

@@ -50,13 +50,13 @@ Row assess(const backend::MachineConfig& machine) {
 
   auto polling = bench::presets::pollingBase(100_KB);
   polling.pollInterval = 20'000;
-  const auto poll = bench::runPollingPoint(machine, polling);
+  const auto poll = bench::runPoint(machine, polling);
   row.peakBw = toMBps(poll.bandwidthBps);
   row.availAtFullRate = poll.availability;
 
   auto pww = bench::presets::pwwBase(100_KB);
   pww.workInterval = 5'000'000;
-  const auto cycle = bench::runPwwPoint(machine, pww);
+  const auto cycle = bench::runPoint(machine, pww);
   row.pwwWaitUs = cycle.avgWaitPerMsg * 1e6;
   row.offload = cycle.avgWaitPerMsg < 0.05 * cycle.dryWork;
   return row;

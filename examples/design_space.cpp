@@ -34,7 +34,7 @@ CellResult evaluate(double isrUs, double copyMBps) {
   machine.portals.nic.kernelCopyRate = copyMBps * 1e6;
   auto params = bench::presets::pollingBase(100_KB);
   params.pollInterval = 20'000;  // the plateau operating point
-  const auto pt = bench::runPollingPoint(machine, params);
+  const auto pt = bench::runPoint(machine, params);
   return CellResult{toMBps(pt.bandwidthBps), pt.availability};
 }
 
@@ -65,7 +65,7 @@ int main() {
   // GM reference point.
   auto gmParams = bench::presets::pollingBase(100_KB);
   gmParams.pollInterval = 20'000;
-  const auto gm = bench::runPollingPoint(backend::gmMachine(), gmParams);
+  const auto gm = bench::runPoint(backend::gmMachine(), gmParams);
   std::printf("\nGM (OS-bypass) reference: %.1f MB/s (%.2f)\n",
               toMBps(gm.bandwidthBps), gm.availability);
   std::printf(

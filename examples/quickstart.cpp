@@ -22,12 +22,12 @@ int main() {
   // Polling method: 100 KB messages, poll every 50k work-loop iterations.
   auto polling = bench::presets::pollingBase(100_KB);
   polling.pollInterval = 50'000;
-  const auto poll = bench::runPollingPoint(machine, polling);
+  const auto poll = bench::runPoint(machine, polling);
 
   // PWW method: same size, 1M iterations (~4 ms) of call-free work.
   auto pww = bench::presets::pwwBase(100_KB);
   pww.workInterval = 1'000'000;
-  const auto cycle = bench::runPwwPoint(machine, pww);
+  const auto cycle = bench::runPoint(machine, pww);
 
   std::printf("COMB quickstart on machine '%s'\n\n", machine.name.c_str());
   std::printf("polling method (poll every %llu iters):\n",

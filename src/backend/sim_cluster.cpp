@@ -110,7 +110,7 @@ SimCluster::SimCluster(MachineConfig cfg, int nodeCount, int simJobs,
                "nicCpu outside [0, cpusPerNode)");
   for (int i = 0; i < nodeCount; ++i) {
     Node& node = nodes_[static_cast<std::size_t>(i)];
-    sim::Simulator& ctx = shardFor(i);
+    sim::ShardContext& ctx = shardFor(i);
     for (int c = 0; c < cfg_.cpusPerNode; ++c)
       node.cpus.push_back(std::make_unique<host::Cpu>(
           ctx, strFormat("cpu%d.%d", i, c), i, cfg_.noise));

@@ -14,7 +14,7 @@
 #include "mpi/mpi.hpp"
 #include "net/fabric.hpp"
 #include "sim/executor.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "sim/task.hpp"
 #include "transport/endpoint.hpp"
 
@@ -27,7 +27,7 @@ class SimCluster;
 /// work loop on the node's CPU, and the MiniMPI instance.
 class SimProc {
  public:
-  SimProc(sim::Simulator& sim, host::Cpu& cpu, mpi::Mpi& mpi,
+  SimProc(sim::ShardContext& sim, host::Cpu& cpu, mpi::Mpi& mpi,
           double secondsPerIter)
       : sim_(&sim), cpu_(&cpu), mpi_(&mpi), spi_(secondsPerIter) {}
 
@@ -40,7 +40,7 @@ class SimProc {
 
   mpi::Mpi& mpi() { return *mpi_; }
   host::Cpu& cpu() { return *cpu_; }
-  sim::Simulator& simulator() { return *sim_; }
+  sim::ShardContext& simulator() { return *sim_; }
   int rank() const { return mpi_->rank(); }
   int size() const { return mpi_->size(); }
 
@@ -69,7 +69,7 @@ class SimProc {
   }
 
  private:
-  sim::Simulator* sim_;
+  sim::ShardContext* sim_;
   host::Cpu* cpu_;
   mpi::Mpi* mpi_;
   double spi_;
@@ -100,7 +100,7 @@ class SimCluster {
   /// Shard 0's context — THE simulator for serial (simJobs = 1) runs,
   /// where every component lives on it. Sharded runs should prefer
   /// executor() / the merged accessors below.
-  sim::Simulator& simulator() { return exec_.shard(0); }
+  sim::ShardContext& simulator() { return exec_.shard(0); }
   /// The shard driving `rank`'s node.
   sim::ShardContext& shardFor(int rank) { return exec_.shard(shardOf(rank)); }
   int shardOf(int rank) const;

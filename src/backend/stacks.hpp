@@ -16,7 +16,7 @@
 #include "backend/machine.hpp"
 #include "host/cpu.hpp"
 #include "net/fabric.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/reliability.hpp"
 
@@ -51,7 +51,7 @@ struct StackPreset {
 
 /// What a factory wires one node's endpoint to.
 struct EndpointSite {
-  sim::Simulator& sim;
+  sim::ShardContext& sim;
   host::Cpu& appCpu;
   host::Cpu& nicCpu;
   net::Fabric& fabric;

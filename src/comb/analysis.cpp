@@ -23,12 +23,12 @@ OverlapAssessment assessMachine(const backend::MachineConfig& machine,
   // Conventional ping-pong.
   LatencyParams lat;
   lat.msgBytes = options.msgBytes;
-  a.pingPong = runLatencyPoint(machine, lat, coreOptions(opts));
+  a.pingPong = runPoint(machine, lat, coreOptions(opts));
   const auto sweep =
-      runPollingSweep(machine,
-                      sweepOver(presets::pollingBase(options.msgBytes),
-                                presets::pollSweep(options.pointsPerDecade)),
-                      opts);
+      runSweep(machine,
+               sweepOver(presets::pollingBase(options.msgBytes),
+                         presets::pollSweep(options.pointsPerDecade)),
+               opts);
   for (const auto& p : sweep)
     a.peakBandwidthBps = std::max(a.peakBandwidthBps, p.bandwidthBps);
   for (const auto& p : sweep)
@@ -39,10 +39,10 @@ OverlapAssessment assessMachine(const backend::MachineConfig& machine,
   // PWW offload probe, with and without the inserted call.
   auto pww = presets::pwwBase(options.msgBytes);
   pww.workInterval = options.longWorkInterval;
-  a.longWork = runPwwPoint(machine, pww, coreOptions(opts));
+  a.longWork = runPoint(machine, pww, coreOptions(opts));
   auto pwwTest = pww;
   pwwTest.testCallAtFraction = options.testCallAtFraction;
-  a.longWorkWithTest = runPwwPoint(machine, pwwTest, coreOptions(opts));
+  a.longWorkWithTest = runPoint(machine, pwwTest, coreOptions(opts));
 
   a.applicationOffload = a.longWork.avgWaitPerMsg < 0.05 * a.longWork.dryWork;
   a.workInflation =

@@ -2,109 +2,7 @@
 
 #include <algorithm>
 
-#include "comb/congestion.hpp"
-#include "common/error.hpp"
-#include "common/units.hpp"
-
 namespace comb::bench {
-
-namespace {
-
-template <typename Point>
-report::ArchiveMetric metricOf(const RepRun<Point>& run,
-                               const std::string& name, bool higherIsBetter,
-                               double (*value)(const Point&)) {
-  report::ArchiveMetric m;
-  m.name = name;
-  m.higherIsBetter = higherIsBetter;
-  m.samples = run.metricSamples(value);
-  return m;
-}
-
-/// Per-rep samples of one latency-percentile metric. Tails regress by
-/// growing, so every tail metric is lower-is-better; the class marks it
-/// for `comb compare --metric-class tail`.
-template <typename Point>
-report::ArchiveMetric tailMetricOf(const RepRun<Point>& run,
-                                   const std::string& name,
-                                   double (*value)(const Point&)) {
-  report::ArchiveMetric m = metricOf(run, name, /*higherIsBetter=*/false,
-                                     value);
-  m.metricClass = "tail";
-  return m;
-}
-
-/// The tail metrics every method shares: send/recv completion-latency
-/// p50 (the median, so a tail-only regression is visible as such), p99
-/// and p999, merged over all ranks.
-template <typename Point>
-void addTailMetrics(std::vector<report::ArchiveMetric>& metrics,
-                    const RepRun<Point>& run) {
-  metrics.push_back(tailMetricOf<Point>(
-      run, "send_p50_us", [](const Point& p) { return p.sendTail.p50 * 1e6; }));
-  metrics.push_back(tailMetricOf<Point>(
-      run, "send_p99_us", [](const Point& p) { return p.sendTail.p99 * 1e6; }));
-  metrics.push_back(tailMetricOf<Point>(
-      run, "send_p999_us",
-      [](const Point& p) { return p.sendTail.p999 * 1e6; }));
-  metrics.push_back(tailMetricOf<Point>(
-      run, "recv_p50_us", [](const Point& p) { return p.recvTail.p50 * 1e6; }));
-  metrics.push_back(tailMetricOf<Point>(
-      run, "recv_p99_us", [](const Point& p) { return p.recvTail.p99 * 1e6; }));
-  metrics.push_back(tailMetricOf<Point>(
-      run, "recv_p999_us",
-      [](const Point& p) { return p.recvTail.p999 * 1e6; }));
-}
-
-template <typename Point, typename MakeMetrics>
-void appendSweep(report::Archive& archive, const std::string& id,
-                 const backend::MachineConfig& machine,
-                 const std::string& xlabel,
-                 const std::vector<std::uint64_t>& xs,
-                 const std::vector<RepRun<Point>>& runs,
-                 MakeMetrics&& makeMetrics) {
-  COMB_REQUIRE(xs.size() == runs.size(),
-               "archive sweep: axis/result size mismatch");
-  archive.provenance.tailPercentiles = report::kTailPercentiles;
-  // Stamp the transport stack so `comb compare` can warn about
-  // cross-configuration comparisons; archives mixing stacks (the
-  // taxonomy sweeps) become "mixed".
-  const std::string stack = backend::transportKindName(machine.kind);
-  if (archive.provenance.stack.empty()) {
-    archive.provenance.stack = stack;
-  } else if (archive.provenance.stack != stack) {
-    archive.provenance.stack = "mixed";
-  }
-  for (const auto& run : runs)
-    for (const auto& rep : run.reps)
-      archive.provenance.shardImbalance =
-          std::max(archive.provenance.shardImbalance, rep.shardImbalance);
-  // Sharded runs: record the certified scalar lookahead floor — the
-  // machine's fabric link latency, which every matrix entry respects
-  // (Executor::setLookaheadMatrix throws otherwise). Archives that mix
-  // machines keep the minimum, the bound every sweep honored.
-  if (archive.provenance.simJobs > 1) {
-    const double floor = machine.fabric.link.latency;
-    double& lookahead = archive.provenance.lookahead;
-    lookahead = lookahead == 0.0 ? floor : std::min(lookahead, floor);
-  }
-  report::ArchiveSweep sweep;
-  sweep.id = id;
-  sweep.xlabel = xlabel;
-  sweep.machine = machine.name;
-  sweep.machineHash = backend::machineHash(machine);
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    report::ArchivePoint point;
-    point.x = static_cast<double>(xs[i]);
-    point.converged = runs[i].converged;
-    point.metrics = makeMetrics(runs[i]);
-    addTailMetrics(point.metrics, runs[i]);
-    sweep.points.push_back(std::move(point));
-  }
-  archive.sweeps.push_back(std::move(sweep));
-}
-
-}  // namespace
 
 report::Archive makeArchive(const std::string& bench, const RepPolicy& rep,
                             int simJobs, sim::AffinityPolicy affinity) {
@@ -126,106 +24,35 @@ report::Archive makeArchive(const std::string& bench, const RepPolicy& rep,
   return archive;
 }
 
-void appendPollingSweep(report::Archive& archive, const std::string& id,
-                        const backend::MachineConfig& machine,
-                        const std::vector<std::uint64_t>& xs,
-                        const std::vector<RepRun<PollingPoint>>& runs,
-                        const std::string& xlabel) {
-  appendSweep(archive, id, machine, xlabel, xs, runs,
-              [](const RepRun<PollingPoint>& run) {
-                return std::vector<report::ArchiveMetric>{
-                    metricOf<PollingPoint>(
-                        run, "availability", true,
-                        [](const PollingPoint& p) { return p.availability; }),
-                    metricOf<PollingPoint>(run, "bandwidth_MBps", true,
-                                           [](const PollingPoint& p) {
-                                             return toMBps(p.bandwidthBps);
-                                           }),
-                };
-              });
-}
-
-void appendPwwSweep(report::Archive& archive, const std::string& id,
-                    const backend::MachineConfig& machine,
-                    const std::vector<std::uint64_t>& xs,
-                    const std::vector<RepRun<PwwPoint>>& runs,
-                    const std::string& xlabel) {
-  appendSweep(
-      archive, id, machine, xlabel, xs, runs,
-      [](const RepRun<PwwPoint>& run) {
-        return std::vector<report::ArchiveMetric>{
-            metricOf<PwwPoint>(
-                run, "availability", true,
-                [](const PwwPoint& p) { return p.availability; }),
-            metricOf<PwwPoint>(
-                run, "bandwidth_MBps", true,
-                [](const PwwPoint& p) { return toMBps(p.bandwidthBps); }),
-            metricOf<PwwPoint>(
-                run, "post_us_per_op", false,
-                [](const PwwPoint& p) { return p.avgPostPerOp * 1e6; }),
-            metricOf<PwwPoint>(
-                run, "work_us", false,
-                [](const PwwPoint& p) { return p.avgWork * 1e6; }),
-            metricOf<PwwPoint>(
-                run, "wait_us_per_msg", false,
-                [](const PwwPoint& p) { return p.avgWaitPerMsg * 1e6; }),
-        };
-      });
-}
-
-void appendLatencySweep(report::Archive& archive, const std::string& id,
-                        const backend::MachineConfig& machine,
-                        const std::vector<std::uint64_t>& xs,
-                        const std::vector<RepRun<LatencyPoint>>& runs,
-                        const std::string& xlabel) {
-  appendSweep(
-      archive, id, machine, xlabel, xs, runs,
-      [](const RepRun<LatencyPoint>& run) {
-        return std::vector<report::ArchiveMetric>{
-            metricOf<LatencyPoint>(
-                run, "latency_us", false,
-                [](const LatencyPoint& p) {
-                  return p.halfRoundTripAvg * 1e6;
-                }),
-            metricOf<LatencyPoint>(
-                run, "bandwidth_MBps", true,
-                [](const LatencyPoint& p) { return toMBps(p.bandwidthBps); }),
-        };
-      });
-}
-
-void appendCongestionSweep(report::Archive& archive, const std::string& id,
-                           const backend::MachineConfig& machine,
-                           const std::vector<std::uint64_t>& xs,
-                           const std::vector<RepRun<CongestionPoint>>& runs,
-                           const std::string& xlabel) {
-  appendSweep(
-      archive, id, machine, xlabel, xs, runs,
-      [](const RepRun<CongestionPoint>& run) {
-        return std::vector<report::ArchiveMetric>{
-            metricOf<CongestionPoint>(
-                run, "bandwidth_MBps", true,
-                [](const CongestionPoint& p) { return toMBps(p.bandwidthBps); }),
-            metricOf<CongestionPoint>(
-                run, "min_node_bw_MBps", true,
-                [](const CongestionPoint& p) {
-                  return toMBps(p.minNodeBandwidthBps);
-                }),
-            metricOf<CongestionPoint>(
-                run, "availability", true,
-                [](const CongestionPoint& p) { return p.availability; }),
-            metricOf<CongestionPoint>(
-                run, "queue_drops", false,
-                [](const CongestionPoint& p) {
-                  return static_cast<double>(p.switches.dropsQueue);
-                }),
-            metricOf<CongestionPoint>(
-                run, "credit_stalls", false,
-                [](const CongestionPoint& p) {
-                  return static_cast<double>(p.switches.creditStalls);
-                }),
-        };
-      });
+report::ArchiveSweep beginSweep(report::Archive& archive,
+                                const std::string& id,
+                                const backend::MachineConfig& machine,
+                                const std::string& xlabel) {
+  archive.provenance.tailPercentiles = report::kTailPercentiles;
+  // Stamp the transport stack so `comb compare` can warn about
+  // cross-configuration comparisons; archives mixing stacks (the
+  // taxonomy sweeps) become "mixed".
+  const std::string stack = backend::transportKindName(machine.kind);
+  if (archive.provenance.stack.empty()) {
+    archive.provenance.stack = stack;
+  } else if (archive.provenance.stack != stack) {
+    archive.provenance.stack = "mixed";
+  }
+  // Sharded runs: record the certified scalar lookahead floor — the
+  // machine's fabric link latency, which every matrix entry respects
+  // (Executor::setLookaheadMatrix throws otherwise). Archives that mix
+  // machines keep the minimum, the bound every sweep honored.
+  if (archive.provenance.simJobs > 1) {
+    const double floor = machine.fabric.link.latency;
+    double& lookahead = archive.provenance.lookahead;
+    lookahead = lookahead == 0.0 ? floor : std::min(lookahead, floor);
+  }
+  report::ArchiveSweep sweep;
+  sweep.id = id;
+  sweep.xlabel = xlabel;
+  sweep.machine = machine.name;
+  sweep.machineHash = backend::machineHash(machine);
+  return sweep;
 }
 
 }  // namespace comb::bench

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-
-#include "backend/sim_cluster.hpp"
-#include "common/log.hpp"
+#include <sstream>
 
 namespace comb::bench {
 
@@ -76,27 +74,25 @@ std::uint64_t congestionExpectedRecvs(const CongestionParams& p, int rank) {
   return 0;
 }
 
-namespace {
-
-sim::Task<void> congestionDriver(backend::SimProc& env, CongestionParams p,
-                                 CongestionNodeResult& out) {
-  out = co_await congestionNodeOn(env, p, env.mpi().world());
+std::string Method<CongestionParams>::describe(const CongestionPoint& p) {
+  std::ostringstream os;
+  os << "congestion " << congestionPatternName(p.pattern)
+     << " nodes=" << p.nodes << " agg_bw=" << toMBps(p.bandwidthBps)
+     << " MB/s min_node_bw=" << toMBps(p.minNodeBandwidthBps)
+     << " MB/s qdrops=" << p.switches.dropsQueue
+     << " stalls=" << p.switches.creditStalls;
+  return os.str();
 }
 
-}  // namespace
-
-CongestionPoint runCongestionPoint(const backend::MachineConfig& machine,
-                                   const CongestionParams& params,
-                                   const RunOptions& opts) {
-  COMB_REQUIRE(params.nodes >= 2 && params.nodes <= (1u << 20),
-               "congestion needs 2 <= nodes <= 2^20");
-  const int n = static_cast<int>(params.nodes);
-  backend::SimCluster cluster(machineWithOptions(machine, opts), n,
-                              opts.simJobs, simWorkerBudget(opts),
-                              opts.simAffinity);
+CongestionPoint Method<CongestionParams>::measure(
+    backend::SimCluster& cluster, const CongestionParams& params) {
+  const int n = cluster.nodeCount();
   std::vector<CongestionNodeResult> nodes(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r)
-    cluster.launch(r, congestionDriver(cluster.proc(r), params, nodes[r]),
+    cluster.launch(r,
+                   storeInto(congestionNodeOn(cluster.proc(r), params,
+                                              cluster.proc(r).mpi().world()),
+                             nodes[r]),
                    "congestion-node");
   cluster.run();
 
@@ -145,75 +141,7 @@ CongestionPoint runCongestionPoint(const backend::MachineConfig& machine,
   point.minNodeBandwidthBps = senders > 0 ? minBw : 0.0;
   point.bandwidthBps = point.makespan > 0 ? totalBytes / point.makespan : 0.0;
   point.switches = cluster.fabric().switchTotals();
-  point.fault = cluster.faultCounters();
-  const auto snap = cluster.metricsSnapshot();
-  point.sendTail =
-      metrics::mergeLatencyFamily(snap, "mpi.n", ".send_latency").tail();
-  point.recvTail =
-      metrics::mergeLatencyFamily(snap, "mpi.n", ".recv_latency").tail();
-  point.shardImbalance = cluster.shardImbalance();
   return point;
-}
-
-namespace {
-
-std::vector<CongestionParams> expandCongestionSpec(
-    const SweepSpec<CongestionParams>& spec) {
-  const auto axis = spec.axis != nullptr ? spec.axis : &CongestionParams::nodes;
-  std::vector<CongestionParams> paramSets;
-  paramSets.reserve(spec.values.size());
-  for (const auto v : spec.values) {
-    CongestionParams p = spec.base;
-    p.*axis = v;
-    paramSets.push_back(p);
-  }
-  return paramSets;
-}
-
-}  // namespace
-
-std::vector<CongestionPoint> runCongestionSweep(
-    const backend::MachineConfig& machine,
-    const SweepSpec<CongestionParams>& spec, const RunOptions& opts) {
-  const auto m = machineWithOptions(machine, opts);
-  const auto paramSets = expandCongestionSpec(spec);
-  auto points = runSweepParallel(
-      m, paramSets,
-      [&opts](const backend::MachineConfig& mc, const CongestionParams& p) {
-        return runCongestionPoint(mc, p, coreOptions(opts));
-      },
-      opts.jobs);
-  for (const auto& pt : points) {
-    COMB_LOG(Debug) << machine.name << " congestion "
-                    << congestionPatternName(pt.pattern)
-                    << " nodes=" << pt.nodes
-                    << " agg_bw=" << toMBps(pt.bandwidthBps)
-                    << " MB/s min_node_bw=" << toMBps(pt.minNodeBandwidthBps)
-                    << " MB/s qdrops=" << pt.switches.dropsQueue
-                    << " stalls=" << pt.switches.creditStalls;
-  }
-  return points;
-}
-
-RepRun<CongestionPoint> runCongestionPointReps(
-    const backend::MachineConfig& machine, const CongestionParams& params,
-    const RunOptions& opts) {
-  return runPointRepsWith<CongestionPoint>(
-      machine, opts, [&](const backend::MachineConfig& m) {
-        return runCongestionPoint(m, params, coreOptions(opts));
-      });
-}
-
-std::vector<RepRun<CongestionPoint>> runCongestionSweepReps(
-    const backend::MachineConfig& machine,
-    const SweepSpec<CongestionParams>& spec, const RunOptions& opts) {
-  validateRepPolicy(opts.rep);
-  const auto paramSets = expandCongestionSpec(spec);
-  std::vector<RepRun<CongestionPoint>> runs(paramSets.size());
-  parallelFor(paramSets.size(), opts.jobs, [&](std::size_t i) {
-    runs[i] = runCongestionPointReps(machine, paramSets[i], opts);
-  });
-  return runs;
 }
 
 }  // namespace comb::bench

@@ -81,6 +81,7 @@ struct CongestionNodeResult {
 };
 
 struct CongestionPoint {
+  using Param = CongestionParams;
   std::uint64_t nodes = 0;
   Bytes msgBytes = 0;
   CongestionPattern pattern = CongestionPattern::Incast;
@@ -109,6 +110,8 @@ struct CongestionPoint {
   TailSummary sendTail;
   TailSummary recvTail;
   double shardImbalance = 1.0;
+
+  bool operator==(const CongestionPoint&) const = default;
 };
 
 /// One node's role: window of wildcard receives, windowed sends along the
@@ -197,24 +200,37 @@ sim::Task<CongestionNodeResult> congestionNodeOn(Env& env, CongestionParams p,
   co_return res;
 }
 
-/// Run one congestion point on a freshly built params.nodes-sized
-/// cluster. The fabric comes from the machine's [topology] section; the
-/// cluster constructor rejects node counts beyond the fabric's capacity.
-CongestionPoint runCongestionPoint(const backend::MachineConfig& machine,
-                                   const CongestionParams& params,
-                                   const RunOptions& opts = {});
-
-/// Sweep the axis named by `spec` (default: the node count).
-std::vector<CongestionPoint> runCongestionSweep(
-    const backend::MachineConfig& machine,
-    const SweepSpec<CongestionParams>& spec, const RunOptions& opts = {});
-
-RepRun<CongestionPoint> runCongestionPointReps(
-    const backend::MachineConfig& machine, const CongestionParams& params,
-    const RunOptions& opts = {});
-
-std::vector<RepRun<CongestionPoint>> runCongestionSweepReps(
-    const backend::MachineConfig& machine,
-    const SweepSpec<CongestionParams>& spec, const RunOptions& opts = {});
+/// The congestion row of the method table (comb/runner.hpp): a point
+/// runs on a freshly built params.nodes-sized cluster whose fabric comes
+/// from the machine's [topology] section; the cluster constructor
+/// rejects node counts beyond the fabric's capacity.
+template <>
+struct Method<CongestionParams> {
+  using Point = CongestionPoint;
+  static constexpr auto axis = &CongestionParams::nodes;
+  static constexpr const char* xlabel = "nodes";
+  static int nodes(const CongestionParams& p) {
+    COMB_REQUIRE(p.nodes >= 2 && p.nodes <= (1u << 20),
+                 "congestion needs 2 <= nodes <= 2^20");
+    return static_cast<int>(p.nodes);
+  }
+  static constexpr MetricDef<Point> metrics[] = {
+      {"bandwidth_MBps", true,
+       [](const Point& p) { return toMBps(p.bandwidthBps); }},
+      {"min_node_bw_MBps", true,
+       [](const Point& p) { return toMBps(p.minNodeBandwidthBps); }},
+      {"availability", true, [](const Point& p) { return p.availability; }},
+      {"queue_drops", false,
+       [](const Point& p) {
+         return static_cast<double>(p.switches.dropsQueue);
+       }},
+      {"credit_stalls", false,
+       [](const Point& p) {
+         return static_cast<double>(p.switches.creditStalls);
+       }},
+  };
+  static std::string describe(const Point& p);
+  static Point measure(backend::SimCluster& cluster, const CongestionParams& p);
+};
 
 }  // namespace comb::bench

@@ -26,6 +26,7 @@ struct LatencyParams {
 };
 
 struct LatencyPoint {
+  using Param = LatencyParams;
   Bytes msgBytes = 0;
   Time halfRoundTripAvg = 0.0;  ///< the usual "latency" number
   Time halfRoundTripMin = 0.0;
@@ -39,6 +40,8 @@ struct LatencyPoint {
   TailSummary sendTail;
   TailSummary recvTail;
   double shardImbalance = 1.0;
+
+  bool operator==(const LatencyPoint&) const = default;
 };
 
 /// Initiator role (rank 0 of `world`, any 2-rank communicator).

@@ -34,6 +34,7 @@ struct PollingParams {
 };
 
 struct PollingPoint {
+  using Param = PollingParams;
   std::uint64_t pollInterval = 0;
   Bytes msgBytes = 0;
   /// time(work, no messaging) / time(same work + MPI calls, messaging).
@@ -81,6 +82,7 @@ struct PwwParams {
 };
 
 struct PwwPoint {
+  using Param = PwwParams;
   std::uint64_t workInterval = 0;
   Bytes msgBytes = 0;
   /// time(work, no messaging) / time(post + work + wait).
@@ -103,6 +105,8 @@ struct PwwPoint {
   TailSummary sendTail;
   TailSummary recvTail;
   double shardImbalance = 1.0;
+
+  bool operator==(const PwwPoint&) const = default;
 };
 
 /// Log-spaced sweep values (paper x-axes are log poll/work interval).

@@ -4,49 +4,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <sstream>
 
-#include "backend/sim_cluster.hpp"
-#include "common/cli.hpp"
-#include "common/error.hpp"
-#include "common/thread_pool.hpp"
 #include "comb/polling.hpp"
 #include "comb/pww.hpp"
-#include "common/log.hpp"
+#include "common/cli.hpp"
+#include "common/error.hpp"
 
 namespace comb::bench {
-
-namespace {
-
-sim::Task<void> pollingWorkerDriver(backend::SimProc& env, PollingParams p,
-                                    PollingPoint& out) {
-  out = co_await pollingWorker(env, p);
-}
-
-sim::Task<void> pwwWorkerDriver(backend::SimProc& env, PwwParams p,
-                                PwwPoint& out) {
-  out = co_await pwwWorker(env, p);
-}
-
-sim::Task<void> latencyDriver(backend::SimProc& env, LatencyParams p,
-                              LatencyPoint& out) {
-  out = co_await latencyInitiator(env, p);
-}
-
-/// Harvest the per-message MPI latency tails and the executor imbalance
-/// after a cluster run. The merged families cover every rank's base
-/// send/recv recorder; shard-count invariance of the merge keeps the
-/// summaries byte-identical across --sim-jobs values.
-template <typename Point>
-void fillObservability(backend::SimCluster& cluster, Point& point) {
-  const auto snap = cluster.metricsSnapshot();
-  point.sendTail =
-      metrics::mergeLatencyFamily(snap, "mpi.n", ".send_latency").tail();
-  point.recvTail =
-      metrics::mergeLatencyFamily(snap, "mpi.n", ".recv_latency").tail();
-  point.shardImbalance = cluster.shardImbalance();
-}
-
-}  // namespace
 
 backend::MachineConfig machineWithOptions(const backend::MachineConfig& machine,
                                           const RunOptions& opts) {
@@ -163,33 +128,6 @@ std::uint64_t repSeed(std::uint64_t root, int rep) {
   return splitmix64(state);
 }
 
-RepRun<PollingPoint> runPollingPointReps(const backend::MachineConfig& machine,
-                                         const PollingParams& params,
-                                         const RunOptions& opts) {
-  return runPointRepsWith<PollingPoint>(machine, opts,
-                                        [&](const backend::MachineConfig& m) {
-          return runPollingPoint(m, params, coreOptions(opts));
-        });
-}
-
-RepRun<PwwPoint> runPwwPointReps(const backend::MachineConfig& machine,
-                                 const PwwParams& params,
-                                 const RunOptions& opts) {
-  return runPointRepsWith<PwwPoint>(machine, opts,
-                                    [&](const backend::MachineConfig& m) {
-          return runPwwPoint(m, params, coreOptions(opts));
-        });
-}
-
-RepRun<LatencyPoint> runLatencyPointReps(const backend::MachineConfig& machine,
-                                         const LatencyParams& params,
-                                         const RunOptions& opts) {
-  return runPointRepsWith<LatencyPoint>(machine, opts,
-                                        [&](const backend::MachineConfig& m) {
-          return runLatencyPoint(m, params, coreOptions(opts));
-        });
-}
-
 std::vector<std::uint64_t> logSweep(std::uint64_t lo, std::uint64_t hi,
                                     int pointsPerDecade) {
   COMB_REQUIRE(lo > 0 && hi >= lo, "bad sweep bounds");
@@ -216,206 +154,56 @@ std::vector<std::uint64_t> logSweep(std::uint64_t lo, std::uint64_t hi,
   return xs;
 }
 
-PollingPoint runPollingPoint(const backend::MachineConfig& machine,
-                             const PollingParams& params,
-                             const RunOptions& opts) {
-  backend::SimCluster cluster(machineWithOptions(machine, opts), 2,
-                              opts.simJobs, simWorkerBudget(opts),
-                              opts.simAffinity);
+std::string Method<PollingParams>::describe(const PollingPoint& p) {
+  std::ostringstream os;
+  os << "polling interval=" << p.pollInterval
+     << " bw=" << toMBps(p.bandwidthBps) << " MB/s avail=" << p.availability;
+  return os.str();
+}
+
+PollingPoint Method<PollingParams>::measure(backend::SimCluster& cluster,
+                                            const PollingParams& p) {
   PollingPoint point;
-  cluster.launch(0, pollingWorkerDriver(cluster.proc(0), params, point),
+  cluster.launch(0, storeInto(pollingWorker(cluster.proc(0), p), point),
                  "polling-worker");
-  cluster.launch(1, pollingSupport(cluster.proc(1), params),
-                 "polling-support");
+  cluster.launch(1, pollingSupport(cluster.proc(1), p), "polling-support");
   cluster.run();
-  point.fault = cluster.faultCounters();
-  fillObservability(cluster, point);
   return point;
 }
 
-PwwPoint runPwwPoint(const backend::MachineConfig& machine,
-                     const PwwParams& params, const RunOptions& opts) {
-  backend::SimCluster cluster(machineWithOptions(machine, opts), 2,
-                              opts.simJobs, simWorkerBudget(opts),
-                              opts.simAffinity);
+std::string Method<PwwParams>::describe(const PwwPoint& p) {
+  std::ostringstream os;
+  os << "pww work=" << p.workInterval << " bw=" << toMBps(p.bandwidthBps)
+     << " MB/s avail=" << p.availability;
+  return os.str();
+}
+
+PwwPoint Method<PwwParams>::measure(backend::SimCluster& cluster,
+                                    const PwwParams& p) {
   PwwPoint point;
-  cluster.launch(0, pwwWorkerDriver(cluster.proc(0), params, point),
+  cluster.launch(0, storeInto(pwwWorker(cluster.proc(0), p), point),
                  "pww-worker");
-  cluster.launch(1, pwwSupport(cluster.proc(1), params), "pww-support");
+  cluster.launch(1, pwwSupport(cluster.proc(1), p), "pww-support");
   cluster.run();
-  point.fault = cluster.faultCounters();
-  fillObservability(cluster, point);
   return point;
 }
 
-TracedRun<PollingPoint> runPollingPointTraced(
-    const backend::MachineConfig& machine, const PollingParams& params,
-    const RunOptions& opts, std::size_t traceCapacity) {
-  backend::SimCluster cluster(machineWithOptions(machine, opts), 2,
-                              opts.simJobs, simWorkerBudget(opts),
-                              opts.simAffinity);
-  cluster.enableTracing(traceCapacity);
-  TracedRun<PollingPoint> run;
-  cluster.launch(0, pollingWorkerDriver(cluster.proc(0), params, run.point),
-                 "polling-worker");
-  cluster.launch(1, pollingSupport(cluster.proc(1), params),
-                 "polling-support");
-  cluster.run();
-  run.point.fault = cluster.faultCounters();
-  fillObservability(cluster, run.point);
-  run.stats = report::snapshot(cluster);
-  run.trace = cluster.releaseTraceLog();
-  return run;
+std::string Method<LatencyParams>::describe(const LatencyPoint& p) {
+  std::ostringstream os;
+  os << "latency bytes=" << p.msgBytes
+     << " half_rtt=" << p.halfRoundTripAvg * 1e6
+     << " us bw=" << toMBps(p.bandwidthBps) << " MB/s";
+  return os.str();
 }
 
-TracedRun<PwwPoint> runPwwPointTraced(const backend::MachineConfig& machine,
-                                      const PwwParams& params,
-                                      const RunOptions& opts,
-                                      std::size_t traceCapacity) {
-  backend::SimCluster cluster(machineWithOptions(machine, opts), 2,
-                              opts.simJobs, simWorkerBudget(opts),
-                              opts.simAffinity);
-  cluster.enableTracing(traceCapacity);
-  TracedRun<PwwPoint> run;
-  cluster.launch(0, pwwWorkerDriver(cluster.proc(0), params, run.point),
-                 "pww-worker");
-  cluster.launch(1, pwwSupport(cluster.proc(1), params), "pww-support");
-  cluster.run();
-  run.point.fault = cluster.faultCounters();
-  fillObservability(cluster, run.point);
-  run.stats = report::snapshot(cluster);
-  run.trace = cluster.releaseTraceLog();
-  return run;
-}
-
-LatencyPoint runLatencyPoint(const backend::MachineConfig& machine,
-                             const LatencyParams& params,
-                             const RunOptions& opts) {
-  backend::SimCluster cluster(machineWithOptions(machine, opts), 2,
-                              opts.simJobs, simWorkerBudget(opts),
-                              opts.simAffinity);
+LatencyPoint Method<LatencyParams>::measure(backend::SimCluster& cluster,
+                                            const LatencyParams& p) {
   LatencyPoint point;
-  cluster.launch(0, latencyDriver(cluster.proc(0), params, point),
+  cluster.launch(0, storeInto(latencyInitiator(cluster.proc(0), p), point),
                  "latency-initiator");
-  cluster.launch(1, latencyEcho(cluster.proc(1), params), "latency-echo");
+  cluster.launch(1, latencyEcho(cluster.proc(1), p), "latency-echo");
   cluster.run();
-  point.fault = cluster.faultCounters();
-  fillObservability(cluster, point);
   return point;
-}
-
-namespace {
-
-/// Expand a SweepSpec into per-point parameter sets.
-template <typename Param>
-std::vector<Param> expandSpec(const SweepSpec<Param>& spec,
-                              std::uint64_t Param::*primary) {
-  auto axis = spec.axis != nullptr ? spec.axis : primary;
-  std::vector<Param> paramSets;
-  paramSets.reserve(spec.values.size());
-  for (const auto v : spec.values) {
-    Param p = spec.base;
-    p.*axis = v;
-    paramSets.push_back(p);
-  }
-  return paramSets;
-}
-
-}  // namespace
-
-std::vector<PollingPoint> runPollingSweep(const backend::MachineConfig& machine,
-                                          const SweepSpec<PollingParams>& spec,
-                                          const RunOptions& opts) {
-  const auto m = machineWithOptions(machine, opts);
-  const auto paramSets = expandSpec(spec, &PollingParams::pollInterval);
-  auto points = runSweepParallel(
-      m, paramSets,
-      [&opts](const backend::MachineConfig& mc, const PollingParams& p) {
-        return runPollingPoint(mc, p, coreOptions(opts));
-      },
-      opts.jobs);
-  // Log after the sweep, in input order, so the trace reads identically
-  // whether points ran serially or on the pool.
-  for (const auto& p : points) {
-    COMB_LOG(Debug) << machine.name << " polling interval=" << p.pollInterval
-                    << " bw=" << toMBps(p.bandwidthBps)
-                    << " MB/s avail=" << p.availability;
-  }
-  return points;
-}
-
-std::vector<PwwPoint> runPwwSweep(const backend::MachineConfig& machine,
-                                  const SweepSpec<PwwParams>& spec,
-                                  const RunOptions& opts) {
-  const auto m = machineWithOptions(machine, opts);
-  const auto paramSets = expandSpec(spec, &PwwParams::workInterval);
-  auto points = runSweepParallel(
-      m, paramSets,
-      [&opts](const backend::MachineConfig& mc, const PwwParams& p) {
-        return runPwwPoint(mc, p, coreOptions(opts));
-      },
-      opts.jobs);
-  for (const auto& p : points) {
-    COMB_LOG(Debug) << machine.name << " pww work=" << p.workInterval
-                    << " bw=" << toMBps(p.bandwidthBps)
-                    << " MB/s avail=" << p.availability;
-  }
-  return points;
-}
-
-std::vector<LatencyPoint> runLatencySweep(const backend::MachineConfig& machine,
-                                          const SweepSpec<LatencyParams>& spec,
-                                          const RunOptions& opts) {
-  const auto m = machineWithOptions(machine, opts);
-  const auto paramSets = expandSpec(spec, &LatencyParams::msgBytes);
-  return runSweepParallel(
-      m, paramSets,
-      [&opts](const backend::MachineConfig& mc, const LatencyParams& p) {
-        return runLatencyPoint(mc, p, coreOptions(opts));
-      },
-      opts.jobs);
-}
-
-namespace {
-
-/// Shared sweep-of-reps driver: expand the spec, fan points out over the
-/// pool (reps within a point stay serial), same order/exception contract
-/// as runSweepParallel.
-template <typename Param, typename Point, typename RunPointReps>
-std::vector<RepRun<Point>> runSweepRepsImpl(
-    const backend::MachineConfig& machine, const SweepSpec<Param>& spec,
-    std::uint64_t Param::*primary, const RunOptions& opts,
-    RunPointReps&& runReps) {
-  validateRepPolicy(opts.rep);
-  const auto paramSets = expandSpec(spec, primary);
-  std::vector<RepRun<Point>> runs(paramSets.size());
-  parallelFor(paramSets.size(), opts.jobs, [&](std::size_t i) {
-    runs[i] = runReps(machine, paramSets[i], opts);
-  });
-  return runs;
-}
-
-}  // namespace
-
-std::vector<RepRun<PollingPoint>> runPollingSweepReps(
-    const backend::MachineConfig& machine, const SweepSpec<PollingParams>& spec,
-    const RunOptions& opts) {
-  return runSweepRepsImpl<PollingParams, PollingPoint>(
-      machine, spec, &PollingParams::pollInterval, opts, runPollingPointReps);
-}
-
-std::vector<RepRun<PwwPoint>> runPwwSweepReps(
-    const backend::MachineConfig& machine, const SweepSpec<PwwParams>& spec,
-    const RunOptions& opts) {
-  return runSweepRepsImpl<PwwParams, PwwPoint>(
-      machine, spec, &PwwParams::workInterval, opts, runPwwPointReps);
-}
-
-std::vector<RepRun<LatencyPoint>> runLatencySweepReps(
-    const backend::MachineConfig& machine, const SweepSpec<LatencyParams>& spec,
-    const RunOptions& opts) {
-  return runSweepRepsImpl<LatencyParams, LatencyPoint>(
-      machine, spec, &LatencyParams::msgBytes, opts, runLatencyPointReps);
 }
 
 }  // namespace comb::bench

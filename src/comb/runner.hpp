@@ -1,6 +1,6 @@
 // Runners: execute one COMB measurement (or a sweep) on a simulated
-// machine. Each point runs on a freshly built two-node cluster so sweep
-// points are independent and bit-reproducible.
+// machine. Each point runs on a freshly built cluster, sized by its
+// method's row, so sweep points are independent and bit-reproducible.
 //
 // That per-point isolation is what makes the parallel sweep executor
 // safe: `runSweepParallel` fans points out across a host thread pool and
@@ -14,17 +14,24 @@
 // The sweep API: a SweepSpec<Param> names the base parameter set and the
 // swept axis; RunOptions carries everything about *how* to run (worker
 // threads, core shards, fault injection) so new knobs never change
-// runner signatures again.
+// runner signatures again. The method table (Method<Param>, below) is
+// what the one set of runners serves: runPoint, runPointTraced,
+// runSweep, runPointReps and runSweepReps take any row's Param.
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <type_traits>
 #include <vector>
 
 #include "backend/machine.hpp"
+#include "backend/sim_cluster.hpp"
+#include "comb/audit.hpp"
 #include "comb/latency.hpp"
 #include "comb/params.hpp"
+#include "common/log.hpp"
+#include "common/metrics.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
 #include "host/noise.hpp"
@@ -167,9 +174,9 @@ struct RepRun {
 };
 
 /// A sweep: the base parameter set plus the axis being swept. With
-/// `axis == nullptr` the method's primary variable is swept (polling:
-/// pollInterval; PWW: workInterval; latency: msgBytes); any other
-/// std::uint64_t member can be named explicitly, e.g.
+/// `axis == nullptr` the row's primary axis is swept (Method<Param>::axis:
+/// polling pollInterval, PWW workInterval, latency msgBytes, congestion
+/// nodes); any other std::uint64_t member can be named explicitly, e.g.
 /// `spec.axis = &PollingParams::msgBytes`.
 template <typename Param>
 struct SweepSpec {
@@ -194,15 +201,6 @@ SweepSpec<Param> sweepOver(Param base, std::vector<std::uint64_t> values,
 backend::MachineConfig machineWithOptions(const backend::MachineConfig& machine,
                                           const RunOptions& opts);
 
-PollingPoint runPollingPoint(const backend::MachineConfig& machine,
-                             const PollingParams& params,
-                             const RunOptions& opts = {});
-PwwPoint runPwwPoint(const backend::MachineConfig& machine,
-                     const PwwParams& params, const RunOptions& opts = {});
-LatencyPoint runLatencyPoint(const backend::MachineConfig& machine,
-                             const LatencyParams& params,
-                             const RunOptions& opts = {});
-
 /// One point re-run with full tracing attached: the measured point (its
 /// numbers are identical to the untraced run — trace emission never
 /// advances virtual time), the complete timeline, and the machine-stats
@@ -213,14 +211,6 @@ struct TracedRun {
   std::unique_ptr<sim::TraceLog> trace;
   report::MachineStats stats;
 };
-
-TracedRun<PollingPoint> runPollingPointTraced(
-    const backend::MachineConfig& machine, const PollingParams& params,
-    const RunOptions& opts = {}, std::size_t traceCapacity = 1 << 20);
-TracedRun<PwwPoint> runPwwPointTraced(const backend::MachineConfig& machine,
-                                      const PwwParams& params,
-                                      const RunOptions& opts = {},
-                                      std::size_t traceCapacity = 1 << 20);
 
 /// Generic parallel sweep executor: run `runOne(machine, paramSets[i])`
 /// for every parameter set, using up to `jobs` worker threads.
@@ -244,21 +234,194 @@ auto runSweepParallel(const backend::MachineConfig& machine,
   return points;
 }
 
-/// Sweep the axis named by `spec` (default: the polling interval).
-std::vector<PollingPoint> runPollingSweep(const backend::MachineConfig& machine,
-                                          const SweepSpec<PollingParams>& spec,
-                                          const RunOptions& opts = {});
+// --- the method table -------------------------------------------------------
+//
+// Each COMB method is one row: a specialization of Method<Param>, found
+// from its Param type (and from a Point through Point::Param). A row holds
+//
+//   Point          the measured record
+//   axis           the primary sweep axis (SweepSpec::axis == nullptr)
+//   xlabel         the archive x-label of a sweep over that axis
+//   nodes(p)       the cluster size one point runs on
+//   metrics        the archive metrics (the tail metrics every row shares
+//                  ride along, comb/archive_build.hpp)
+//   describe(pt)   the Debug log line of a sweep point
+//   measure(c, p)  launch the method's processes on cluster `c` under
+//                  their trace names, run it and reduce to a Point
+//
+// and, where the trace-driven overlap audit knows the method,
+// audit(log, pt). Every runner below serves every row.
 
-/// Sweep the axis named by `spec` (default: the work interval).
-std::vector<PwwPoint> runPwwSweep(const backend::MachineConfig& machine,
-                                  const SweepSpec<PwwParams>& spec,
-                                  const RunOptions& opts = {});
+/// One archive metric: name, regression direction, per-point value.
+template <typename Point>
+struct MetricDef {
+  const char* name;
+  bool higherIsBetter;
+  double (*value)(const Point&);
+};
 
-/// Sweep the axis named by `spec` (default: the message size). Reps and
-/// tag ride along in spec.base like every other method parameter.
-std::vector<LatencyPoint> runLatencySweep(const backend::MachineConfig& machine,
-                                          const SweepSpec<LatencyParams>& spec,
-                                          const RunOptions& opts = {});
+/// A traced point's overlap audit: the first mismatch (empty when the
+/// span data reproduces the point) and the availability the spans give.
+struct AuditResult {
+  std::string error;
+  double availability = 0.0;
+};
+
+template <typename Param>
+struct Method;
+
+template <typename Param>
+using PointOf = typename Method<Param>::Point;
+
+template <>
+struct Method<PollingParams> {
+  using Point = PollingPoint;
+  static constexpr auto axis = &PollingParams::pollInterval;
+  static constexpr const char* xlabel = "poll_interval_iters";
+  static int nodes(const PollingParams&) { return 2; }
+  static constexpr MetricDef<Point> metrics[] = {
+      {"availability", true, [](const Point& p) { return p.availability; }},
+      {"bandwidth_MBps", true,
+       [](const Point& p) { return toMBps(p.bandwidthBps); }},
+  };
+  static std::string describe(const Point& p);
+  static Point measure(backend::SimCluster& cluster, const PollingParams& p);
+  static AuditResult audit(const sim::TraceLog& log, const Point& p) {
+    const auto a = auditPolling(log);
+    return {checkPolling(a, p), a.availability};
+  }
+};
+
+template <>
+struct Method<PwwParams> {
+  using Point = PwwPoint;
+  static constexpr auto axis = &PwwParams::workInterval;
+  static constexpr const char* xlabel = "work_interval_iters";
+  static int nodes(const PwwParams&) { return 2; }
+  static constexpr MetricDef<Point> metrics[] = {
+      {"availability", true, [](const Point& p) { return p.availability; }},
+      {"bandwidth_MBps", true,
+       [](const Point& p) { return toMBps(p.bandwidthBps); }},
+      {"post_us_per_op", false,
+       [](const Point& p) { return p.avgPostPerOp * 1e6; }},
+      {"work_us", false, [](const Point& p) { return p.avgWork * 1e6; }},
+      {"wait_us_per_msg", false,
+       [](const Point& p) { return p.avgWaitPerMsg * 1e6; }},
+  };
+  static std::string describe(const Point& p);
+  static Point measure(backend::SimCluster& cluster, const PwwParams& p);
+  static AuditResult audit(const sim::TraceLog& log, const Point& p) {
+    const auto a = auditPww(log);
+    return {checkPww(a, p), a.availability};
+  }
+};
+
+template <>
+struct Method<LatencyParams> {
+  using Point = LatencyPoint;
+  static constexpr auto axis = &LatencyParams::msgBytes;
+  static constexpr const char* xlabel = "msg_bytes";
+  static int nodes(const LatencyParams&) { return 2; }
+  static constexpr MetricDef<Point> metrics[] = {
+      {"latency_us", false,
+       [](const Point& p) { return p.halfRoundTripAvg * 1e6; }},
+      {"bandwidth_MBps", true,
+       [](const Point& p) { return toMBps(p.bandwidthBps); }},
+  };
+  static std::string describe(const Point& p);
+  static Point measure(backend::SimCluster& cluster, const LatencyParams& p);
+};
+
+/// Spawn `task` and store its result in `out` (a row's measure launches
+/// each result-returning process through this).
+template <typename T>
+sim::Task<void> storeInto(sim::Task<T> task, T& out) {
+  out = co_await task;
+}
+
+/// A fresh cluster for one point of `params`' method, sized by its row,
+/// with `opts`' overrides and execution shape applied.
+template <typename Param>
+backend::SimCluster clusterFor(const backend::MachineConfig& machine,
+                               const Param& params, const RunOptions& opts) {
+  return backend::SimCluster(machineWithOptions(machine, opts),
+                             Method<Param>::nodes(params), opts.simJobs,
+                             simWorkerBudget(opts), opts.simAffinity);
+}
+
+/// Measure one point on a cluster the caller built (and may trace or
+/// inspect afterwards): the row's measure, plus what every Point carries
+/// — the cluster's fault/reliability counters, the per-message MPI
+/// send/recv latency tails merged over every rank's base recorder
+/// (shard-count invariant, so byte-identical across --sim-jobs) and the
+/// executor's load imbalance.
+template <typename Param>
+PointOf<Param> measureOn(backend::SimCluster& cluster, const Param& params) {
+  auto point = Method<Param>::measure(cluster, params);
+  point.fault = cluster.faultCounters();
+  const auto snap = cluster.metricsSnapshot();
+  point.sendTail =
+      metrics::mergeLatencyFamily(snap, "mpi.n", ".send_latency").tail();
+  point.recvTail =
+      metrics::mergeLatencyFamily(snap, "mpi.n", ".recv_latency").tail();
+  point.shardImbalance = cluster.shardImbalance();
+  return point;
+}
+
+/// One point on a freshly built cluster.
+template <typename Param>
+PointOf<Param> runPoint(const backend::MachineConfig& machine,
+                        const Param& params, const RunOptions& opts = {}) {
+  backend::SimCluster cluster = clusterFor(machine, params, opts);
+  return measureOn(cluster, params);
+}
+
+/// One point with full tracing attached (see TracedRun).
+template <typename Param>
+TracedRun<PointOf<Param>> runPointTraced(const backend::MachineConfig& machine,
+                                         const Param& params,
+                                         const RunOptions& opts = {},
+                                         std::size_t traceCapacity = 1 << 20) {
+  backend::SimCluster cluster = clusterFor(machine, params, opts);
+  cluster.enableTracing(traceCapacity);
+  TracedRun<PointOf<Param>> run;
+  run.point = measureOn(cluster, params);
+  run.stats = report::snapshot(cluster);
+  run.trace = cluster.releaseTraceLog();
+  return run;
+}
+
+/// The per-point parameter sets of a sweep.
+template <typename Param>
+std::vector<Param> expandSweep(const SweepSpec<Param>& spec) {
+  const auto axis = spec.axis != nullptr ? spec.axis : Method<Param>::axis;
+  std::vector<Param> paramSets;
+  paramSets.reserve(spec.values.size());
+  for (const auto v : spec.values) {
+    Param p = spec.base;
+    p.*axis = v;
+    paramSets.push_back(p);
+  }
+  return paramSets;
+}
+
+/// Sweep the axis named by `spec` (default: the row's primary axis).
+template <typename Param>
+std::vector<PointOf<Param>> runSweep(const backend::MachineConfig& machine,
+                                     const SweepSpec<Param>& spec,
+                                     const RunOptions& opts = {}) {
+  auto points = runSweepParallel(
+      machineWithOptions(machine, opts), expandSweep(spec),
+      [&opts](const backend::MachineConfig& m, const Param& p) {
+        return runPoint(m, p, coreOptions(opts));
+      },
+      opts.jobs);
+  // Log after the sweep, in input order, so the trace reads identically
+  // whether points ran serially or on the pool.
+  for (const auto& p : points)
+    COMB_LOG(Debug) << machine.name << ' ' << Method<Param>::describe(p);
+  return points;
+}
 
 // --- repetition-aware runners (statistical gate) ---------------------------
 //
@@ -267,29 +430,28 @@ std::vector<LatencyPoint> runLatencySweep(const backend::MachineConfig& machine,
 // like the plain sweeps; the reps within one point run serially because
 // the adaptive stop rule is inherently sequential.
 
-/// Shared rep loop (used by every *PointReps runner, including the
-/// congestion module): rep 0 runs the machine exactly as configured,
-/// later reps reseed the per-link fault stream from (policy.seed, rep).
-/// On a lossless fabric the reseed is a no-op by construction (the fault
-/// stream is never sampled), so all reps are bit-identical. `runOne` is
-/// called as runOne(machine) and must return a Point with a
-/// `bandwidthBps` member (the watched metric).
-template <typename Point, typename RunOne>
-RepRun<Point> runPointRepsWith(const backend::MachineConfig& machine,
-                               const RunOptions& opts, RunOne&& runOne) {
+/// All repetitions of one point: rep 0 runs the machine exactly as
+/// configured, later reps reseed the per-link fault stream from
+/// (policy.seed, rep). On a lossless fabric the reseed is a no-op by
+/// construction (the fault stream is never sampled), so all reps are
+/// bit-identical. The watched metric is the Point's `bandwidthBps`.
+template <typename Param>
+RepRun<PointOf<Param>> runPointReps(const backend::MachineConfig& machine,
+                                    const Param& params,
+                                    const RunOptions& opts = {}) {
   validateRepPolicy(opts.rep);
   const backend::MachineConfig base = machineWithOptions(machine, opts);
-  // The per-rep runner must not re-apply opts.fault/rep (already folded
-  // into `base`), so reps run with a bare RunOptions.
+  // The per-rep runs must not re-apply opts.fault/rep (already folded
+  // into `base`), so they run with the bare execution shape.
   const auto runRep = [&](int rep) {
-    if (rep == 0) return runOne(base);
+    if (rep == 0) return runPoint(base, params, coreOptions(opts));
     backend::MachineConfig m = base;
     m.fabric.link.fault.seed =
         repSeed(opts.rep.seed ^ m.fabric.link.fault.seed, rep);
-    return runOne(m);
+    return runPoint(m, params, coreOptions(opts));
   };
 
-  RepRun<Point> run;
+  RepRun<PointOf<Param>> run;
   run.adaptive = opts.rep.adaptive;
   if (opts.rep.adaptive) {
     AdaptiveRep controller(opts.rep.adaptivePolicy());
@@ -315,24 +477,20 @@ RepRun<Point> runPointRepsWith(const backend::MachineConfig& machine,
   return run;
 }
 
-RepRun<PollingPoint> runPollingPointReps(const backend::MachineConfig& machine,
-                                         const PollingParams& params,
-                                         const RunOptions& opts = {});
-RepRun<PwwPoint> runPwwPointReps(const backend::MachineConfig& machine,
-                                 const PwwParams& params,
-                                 const RunOptions& opts = {});
-RepRun<LatencyPoint> runLatencyPointReps(const backend::MachineConfig& machine,
-                                         const LatencyParams& params,
-                                         const RunOptions& opts = {});
-
-std::vector<RepRun<PollingPoint>> runPollingSweepReps(
-    const backend::MachineConfig& machine, const SweepSpec<PollingParams>& spec,
-    const RunOptions& opts = {});
-std::vector<RepRun<PwwPoint>> runPwwSweepReps(
-    const backend::MachineConfig& machine, const SweepSpec<PwwParams>& spec,
-    const RunOptions& opts = {});
-std::vector<RepRun<LatencyPoint>> runLatencySweepReps(
-    const backend::MachineConfig& machine, const SweepSpec<LatencyParams>& spec,
-    const RunOptions& opts = {});
+/// runPointReps over every point of a sweep: points fan out over the
+/// pool (reps within a point stay serial), with runSweepParallel's order
+/// and exception contract.
+template <typename Param>
+std::vector<RepRun<PointOf<Param>>> runSweepReps(
+    const backend::MachineConfig& machine, const SweepSpec<Param>& spec,
+    const RunOptions& opts = {}) {
+  validateRepPolicy(opts.rep);
+  const auto paramSets = expandSweep(spec);
+  std::vector<RepRun<PointOf<Param>>> runs(paramSets.size());
+  parallelFor(paramSets.size(), opts.jobs, [&](std::size_t i) {
+    runs[i] = runPointReps(machine, paramSets[i], opts);
+  });
+  return runs;
+}
 
 }  // namespace comb::bench

@@ -5,10 +5,11 @@
 // construction — `registry.counter("nic.gm.n0.retransmits")` — and hold
 // the returned reference; incrementing is then a single add with no name
 // lookup and no allocation, preserving the simulator's allocation-free
-// hot path. The registry is owned by the Simulator (one per simulated
-// machine, so parallel sweep points never share state) and snapshotted
-// into report::MachineStats after a run, where it is rendered as a table
-// or exported as JSON alongside the fault counters.
+// hot path. The registry is owned by the ShardContext (one per shard; a
+// sim::Executor merges the shard snapshots by name, and parallel sweep
+// points never share state) and snapshotted into report::MachineStats
+// after a run, where it is rendered as a table or exported as JSON
+// alongside the fault counters.
 //
 // Names are dot-separated paths ("layer.component.instance.metric"); the
 // snapshot sorts them, so related instruments group naturally.

@@ -7,7 +7,7 @@
 
 namespace comb::host {
 
-Cpu::Cpu(sim::Simulator& sim, std::string name, int node,
+Cpu::Cpu(sim::ShardContext& sim, std::string name, int node,
          const NoiseSpec& noise)
     : sim_(sim),
       name_(std::move(name)),

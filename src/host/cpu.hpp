@@ -29,7 +29,7 @@
 #include "common/units.hpp"
 #include "host/noise.hpp"
 #include "sim/inplace_fn.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "sim/task.hpp"
 #include "sim/trigger.hpp"
 
@@ -41,7 +41,7 @@ class Cpu {
   /// `noise` (default: disabled) attaches the OS-noise injector; its
   /// schedule is derived from (noise.seed, name), so it reproduces
   /// deterministically per (seed, node, cpu).
-  Cpu(sim::Simulator& sim, std::string name, int node = -1,
+  Cpu(sim::ShardContext& sim, std::string name, int node = -1,
       const NoiseSpec& noise = {});
   Cpu(const Cpu&) = delete;
   Cpu& operator=(const Cpu&) = delete;
@@ -90,7 +90,7 @@ class Cpu {
     Time requested;   ///< original compute request (trace payload)
     Time enqueuedAt;  ///< when compute() was called (trace span start)
     sim::Trigger done;
-    Job(sim::Simulator& s, Time r, Time at)
+    Job(sim::ShardContext& s, Time r, Time at)
         : remaining(r), requested(r), enqueuedAt(at), done(s) {}
   };
 
@@ -114,7 +114,7 @@ class Cpu {
   /// work was pending.
   void chargeNoise(Time from, Time to);
 
-  sim::Simulator& sim_;
+  sim::ShardContext& sim_;
   std::string name_;
   int node_;
   metrics::Counter& interruptCounter_;  ///< "host.<name>.interrupts"

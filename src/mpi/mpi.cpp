@@ -16,19 +16,19 @@ std::vector<Rank> iota(int n) {
   return v;
 }
 
-metrics::Counter& mpiCounter(sim::Simulator& sim, Rank rank,
+metrics::Counter& mpiCounter(sim::ShardContext& sim, Rank rank,
                              const char* call) {
   return sim.metrics().counter(strFormat("mpi.n%d.%s", rank, call));
 }
 
-LatencyRecorder& mpiLatency(sim::Simulator& sim, Rank rank,
+LatencyRecorder& mpiLatency(sim::ShardContext& sim, Rank rank,
                             const char* name) {
   return sim.metrics().latency(strFormat("mpi.n%d.%s", rank, name));
 }
 
 }  // namespace
 
-Mpi::Mpi(sim::Simulator& sim, transport::Endpoint& ep, Rank worldRank,
+Mpi::Mpi(sim::ShardContext& sim, transport::Endpoint& ep, Rank worldRank,
          int worldSize)
     : sim_(sim), ep_(ep),
       counters_{mpiCounter(sim, worldRank, "isend"),

@@ -29,7 +29,7 @@
 #include "mpi/comm.hpp"
 #include "mpi/request.hpp"
 #include "mpi/types.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "sim/task.hpp"
 #include "transport/endpoint.hpp"
 
@@ -38,7 +38,7 @@ namespace comb::mpi {
 class Mpi {
  public:
   /// `worldRank` must equal the endpoint's fabric node id.
-  Mpi(sim::Simulator& sim, transport::Endpoint& ep, Rank worldRank,
+  Mpi(sim::ShardContext& sim, transport::Endpoint& ep, Rank worldRank,
       int worldSize);
   Mpi(const Mpi&) = delete;
   Mpi& operator=(const Mpi&) = delete;
@@ -155,7 +155,7 @@ class Mpi {
   ReqState& stateOf(Request req);
   void freeRequest(Request& req, Status* statusOut);
 
-  sim::Simulator& sim_;
+  sim::ShardContext& sim_;
   transport::Endpoint& ep_;
   /// Per-rank MPI call counters, cached at construction.
   struct CallCounters {

@@ -8,7 +8,7 @@
 
 namespace comb::net {
 
-Fabric::Fabric(sim::Simulator& sim, FabricConfig cfg)
+Fabric::Fabric(sim::ShardContext& sim, FabricConfig cfg)
     : sim_(sim), cfg_(cfg), topology_(sim, cfg.topo, cfg.sw, cfg.link) {
   COMB_REQUIRE(cfg.mtu > 0, "fabric MTU must be positive");
 }

@@ -15,7 +15,7 @@
 #include "net/packet.hpp"
 #include "net/switch.hpp"
 #include "net/topology.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 
 namespace comb::net {
 
@@ -31,7 +31,7 @@ class Fabric {
  public:
   using DeliveryFn = std::function<void(Packet)>;
 
-  Fabric(sim::Simulator& sim, FabricConfig cfg);
+  Fabric(sim::ShardContext& sim, FabricConfig cfg);
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
@@ -109,7 +109,7 @@ class Fabric {
     std::uint64_t seq = 0;
   };
 
-  sim::Simulator& sim_;
+  sim::ShardContext& sim_;
   FabricConfig cfg_;
   Topology topology_;
   std::vector<NodePort> nodes_;

@@ -7,7 +7,7 @@
 
 namespace comb::net {
 
-Link::Link(sim::Simulator& sim, LinkConfig cfg, std::string name)
+Link::Link(sim::ShardContext& sim, LinkConfig cfg, std::string name)
     : sim_(&sim),
       cfg_(cfg),
       name_(std::move(name)),

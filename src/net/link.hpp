@@ -17,7 +17,7 @@
 #include "common/units.hpp"
 #include "net/fault.hpp"
 #include "net/packet.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 
 namespace comb::net {
 
@@ -33,7 +33,7 @@ class Link {
  public:
   using Sink = std::function<void(Packet)>;
 
-  Link(sim::Simulator& sim, LinkConfig cfg, std::string name);
+  Link(sim::ShardContext& sim, LinkConfig cfg, std::string name);
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
 

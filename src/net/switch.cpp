@@ -24,7 +24,7 @@ const char* backpressureName(Backpressure b) {
   return "?";
 }
 
-Switch::Switch(sim::Simulator& sim, SwitchConfig cfg, std::string name)
+Switch::Switch(sim::ShardContext& sim, SwitchConfig cfg, std::string name)
     : sim_(&sim),
       cfg_(cfg),
       name_(std::move(name)),

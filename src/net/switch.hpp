@@ -40,7 +40,7 @@
 #include "common/units.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 
 namespace comb::net {
 
@@ -82,7 +82,7 @@ struct SwitchConfig {
 
 class Switch {
  public:
-  Switch(sim::Simulator& sim, SwitchConfig cfg, std::string name);
+  Switch(sim::ShardContext& sim, SwitchConfig cfg, std::string name);
   Switch(const Switch&) = delete;
   Switch& operator=(const Switch&) = delete;
 

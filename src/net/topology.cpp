@@ -56,7 +56,7 @@ void validateTopology(const TopologyConfig& topo, const SwitchConfig& sw) {
   }
 }
 
-Topology::Topology(sim::Simulator& sim, const TopologyConfig& topo,
+Topology::Topology(sim::ShardContext& sim, const TopologyConfig& topo,
                    const SwitchConfig& sw, const LinkConfig& nodeLink)
     : sim_(sim), topo_(topo), swCfg_(sw), trunkLink_(nodeLink) {
   validateTopology(topo_, swCfg_);

@@ -64,6 +64,8 @@ struct SwitchTotals {
   std::uint64_t dropsQueue = 0;
   std::uint64_t creditStalls = 0;
   std::uint64_t queuePeakPackets = 0;  ///< max over switches, not a sum
+
+  bool operator==(const SwitchTotals&) const = default;
 };
 
 /// The switch graph of one fabric: owns the switches and the inter-switch
@@ -77,7 +79,7 @@ class Topology {
     int inputPort = -1;    ///< input-port id for the node's uplink
   };
 
-  Topology(sim::Simulator& sim, const TopologyConfig& topo,
+  Topology(sim::ShardContext& sim, const TopologyConfig& topo,
            const SwitchConfig& sw, const LinkConfig& nodeLink);
   Topology(const Topology&) = delete;
   Topology& operator=(const Topology&) = delete;
@@ -133,7 +135,7 @@ class Topology {
     return group * topo_.routersPerGroup + router;
   }
 
-  sim::Simulator& sim_;
+  sim::ShardContext& sim_;
   TopologyConfig topo_;
   SwitchConfig swCfg_;
   LinkConfig trunkLink_;

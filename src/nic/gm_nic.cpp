@@ -10,14 +10,14 @@ using transport::WirePayload;
 
 namespace {
 
-metrics::Counter& nicCounter(sim::Simulator& sim, net::NodeId node,
+metrics::Counter& nicCounter(sim::ShardContext& sim, net::NodeId node,
                              const char* metric) {
   return sim.metrics().counter(strFormat("nic.gm.n%d.%s", node, metric));
 }
 
 }  // namespace
 
-GmNic::GmNic(sim::Simulator& sim, net::Fabric& fabric, net::NodeId node,
+GmNic::GmNic(sim::ShardContext& sim, net::Fabric& fabric, net::NodeId node,
              transport::ReliabilityConfig rel)
     : sim_(sim), fabric_(fabric), node_(node),
       counters_{nicCounter(sim, node, "messages_sent"),

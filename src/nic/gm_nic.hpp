@@ -37,7 +37,7 @@
 #include "net/fabric.hpp"
 #include "nic/reassembler.hpp"
 #include "nic/reliable_link.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "transport/reliability.hpp"
 #include "transport/wire.hpp"
 
@@ -58,7 +58,7 @@ struct GmEvent : transport::Arrival {
 
 class GmNic {
  public:
-  GmNic(sim::Simulator& sim, net::Fabric& fabric, net::NodeId node,
+  GmNic(sim::ShardContext& sim, net::Fabric& fabric, net::NodeId node,
         transport::ReliabilityConfig rel = {});
   GmNic(const GmNic&) = delete;
   GmNic& operator=(const GmNic&) = delete;
@@ -127,7 +127,7 @@ class GmNic {
   /// Firmware ack, queued on the control lane like any control packet.
   void sendAck(net::NodeId dst, std::uint64_t msgId, std::uint32_t fragIndex);
 
-  sim::Simulator& sim_;
+  sim::ShardContext& sim_;
   net::Fabric& fabric_;
   net::NodeId node_;
   /// Registry counters, cached at construction (no lookup per event).

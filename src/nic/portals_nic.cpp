@@ -12,14 +12,14 @@ using transport::WirePayload;
 
 namespace {
 
-metrics::Counter& nicCounter(sim::Simulator& sim, net::NodeId node,
+metrics::Counter& nicCounter(sim::ShardContext& sim, net::NodeId node,
                              const char* metric) {
   return sim.metrics().counter(strFormat("nic.ptl.n%d.%s", node, metric));
 }
 
 }  // namespace
 
-PortalsNic::PortalsNic(sim::Simulator& sim, net::Fabric& fabric,
+PortalsNic::PortalsNic(sim::ShardContext& sim, net::Fabric& fabric,
                        host::Cpu& cpu, net::NodeId node, PortalsNicConfig cfg,
                        transport::ReliabilityConfig rel)
     : sim_(sim), fabric_(fabric), cpu_(cpu), node_(node), cfg_(cfg),

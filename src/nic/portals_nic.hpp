@@ -27,7 +27,7 @@
 #include "host/cpu.hpp"
 #include "net/fabric.hpp"
 #include "nic/reliable_link.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "transport/reliability.hpp"
 #include "transport/wire.hpp"
 
@@ -54,7 +54,7 @@ class PortalsNic {
   /// fragment entered the wire (lossless) or was fully acked (lossy).
   using TxDoneHandler = std::function<void(const transport::WireFields&)>;
 
-  PortalsNic(sim::Simulator& sim, net::Fabric& fabric, host::Cpu& cpu,
+  PortalsNic(sim::ShardContext& sim, net::Fabric& fabric, host::Cpu& cpu,
              net::NodeId node, PortalsNicConfig cfg,
              transport::ReliabilityConfig rel = {});
   PortalsNic(const PortalsNic&) = delete;
@@ -99,7 +99,7 @@ class PortalsNic {
 
   void pumpTx();
 
-  sim::Simulator& sim_;
+  sim::ShardContext& sim_;
   net::Fabric& fabric_;
   host::Cpu& cpu_;
   net::NodeId node_;

@@ -10,14 +10,14 @@ using transport::WirePayload;
 
 namespace {
 
-metrics::Counter& nicCounter(sim::Simulator& sim, net::NodeId node,
+metrics::Counter& nicCounter(sim::ShardContext& sim, net::NodeId node,
                              const char* metric) {
   return sim.metrics().counter(strFormat("nic.rdma.n%d.%s", node, metric));
 }
 
 }  // namespace
 
-RdmaNic::RdmaNic(sim::Simulator& sim, net::Fabric& fabric, net::NodeId node,
+RdmaNic::RdmaNic(sim::ShardContext& sim, net::Fabric& fabric, net::NodeId node,
                  RdmaNicConfig cfg, transport::ReliabilityConfig rel)
     : sim_(sim), fabric_(fabric), node_(node), cfg_(cfg),
       counters_{nicCounter(sim, node, "messages_sent"),

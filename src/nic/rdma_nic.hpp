@@ -25,7 +25,7 @@
 #include "common/units.hpp"
 #include "net/fabric.hpp"
 #include "nic/reliable_link.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "transport/reliability.hpp"
 #include "transport/wire.hpp"
 
@@ -46,7 +46,7 @@ class RdmaNic {
   /// fragment entered the wire (lossless) or was fully acked (lossy).
   using TxDoneHandler = std::function<void(const transport::WireFields&)>;
 
-  RdmaNic(sim::Simulator& sim, net::Fabric& fabric, net::NodeId node,
+  RdmaNic(sim::ShardContext& sim, net::Fabric& fabric, net::NodeId node,
           RdmaNicConfig cfg, transport::ReliabilityConfig rel = {});
   RdmaNic(const RdmaNic&) = delete;
   RdmaNic& operator=(const RdmaNic&) = delete;
@@ -85,7 +85,7 @@ class RdmaNic {
 
   void pumpTx();
 
-  sim::Simulator& sim_;
+  sim::ShardContext& sim_;
   net::Fabric& fabric_;
   net::NodeId node_;
   RdmaNicConfig cfg_;

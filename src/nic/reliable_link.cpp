@@ -10,7 +10,7 @@ namespace comb::nic {
 using transport::WireKind;
 using transport::WirePayload;
 
-ReliableLink::ReliableLink(sim::Simulator& sim, net::Fabric& fabric,
+ReliableLink::ReliableLink(sim::ShardContext& sim, net::Fabric& fabric,
                            net::NodeId node, Names names,
                            transport::ReliabilityConfig rel,
                            TimeoutHook onTimeout)

@@ -43,7 +43,7 @@
 #include "common/metrics.hpp"
 #include "common/units.hpp"
 #include "net/fabric.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "transport/payload_pool.hpp"
 #include "transport/reliability.hpp"
 #include "transport/wire.hpp"
@@ -88,7 +88,7 @@ class ReliableLink {
     Bytes missingBytes = 0;    ///< payload bytes of the unacked fragments
   };
 
-  ReliableLink(sim::Simulator& sim, net::Fabric& fabric, net::NodeId node,
+  ReliableLink(sim::ShardContext& sim, net::Fabric& fabric, net::NodeId node,
                Names names, transport::ReliabilityConfig rel,
                TimeoutHook onTimeout);
   ReliableLink(const ReliableLink&) = delete;
@@ -178,7 +178,7 @@ class ReliableLink {
   /// First bit of `frag`'s message in rxBits_, taken on first sighting.
   std::uint64_t seenBits(net::NodeId src, const transport::WirePayload& frag);
 
-  sim::Simulator& sim_;
+  sim::ShardContext& sim_;
   net::Fabric& fabric_;
   net::NodeId node_;
   const char* stack_;

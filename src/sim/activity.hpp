@@ -11,13 +11,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 
 namespace comb::sim {
 
 class ActivitySignal {
  public:
-  explicit ActivitySignal(Simulator& sim) : sim_(&sim) {}
+  explicit ActivitySignal(ShardContext& sim) : sim_(&sim) {}
   ActivitySignal(const ActivitySignal&) = delete;
   ActivitySignal& operator=(const ActivitySignal&) = delete;
 
@@ -47,7 +47,7 @@ class ActivitySignal {
   std::size_t waiterCount() const { return waiters_.size(); }
 
  private:
-  Simulator* sim_;
+  ShardContext* sim_;
   std::uint64_t version_ = 0;
   std::vector<std::coroutine_handle<>> waiters_;
 };

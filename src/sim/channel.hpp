@@ -11,14 +11,14 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 
 namespace comb::sim {
 
 template <typename T>
 class Channel {
  public:
-  explicit Channel(Simulator& sim) : sim_(&sim) {}
+  explicit Channel(ShardContext& sim) : sim_(&sim) {}
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
@@ -74,7 +74,7 @@ class Channel {
     }
   }
 
-  Simulator* sim_;
+  ShardContext* sim_;
   std::deque<T> values_;
   std::deque<std::coroutine_handle<>> waiters_;
   std::size_t inFlight_ = 0;

@@ -37,10 +37,10 @@
 // empty() itself prunes stale heap entries and is the only safe way to
 // test for pending work. EventHandles must not outlive the EventQueue
 // they came from (they hold a raw back-pointer; in practice handles live
-// inside simulation components owned by the same Simulator).
+// inside simulation components owned by the same ShardContext).
 //
 // Destroying the queue destroys every unfired closure, releasing whatever
-// they captured — this is what guarantees a Simulator torn down early
+// they captured — this is what guarantees a ShardContext torn down early
 // does not leak deferred-spawn tasks.
 #pragma once
 
@@ -60,7 +60,7 @@ namespace comb::sim {
 
 /// Inline capacity for event closures. Budget for the largest real
 /// closures on the hot path: `Link::send`'s delivery lambda (`this` + a
-/// 40-byte Packet) and `Simulator::spawn`'s deferred-start lambda
+/// 40-byte Packet) and `ShardContext::spawn`'s deferred-start lambda
 /// (`this` + a Task + a std::string name) — both exactly 48 bytes.
 /// Chosen so a pool Slot (buffer + ops pointer + seq) is exactly one
 /// 64-byte cache line. Oversized captures fail to compile (see

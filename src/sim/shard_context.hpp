@@ -10,8 +10,7 @@
 // event order.
 //
 // Two ways to drive a context:
-//   * standalone — run()/step(), the classic serial simulator. The alias
-//     `sim::Simulator` (sim/simulator.hpp) names exactly this use; every
+//   * standalone — run()/step(), the classic serial simulator. Every
 //     unit test and micro-benchmark drives a single context this way,
 //     and a single-shard sim::Executor takes the identical code path, so
 //     `--sim-jobs 1` is bit-identical to the pre-PDES serial core.

@@ -1,11 +1,11 @@
 // Coroutine task type for simulated processes.
 //
 // sim::Task<T> is a lazily-started coroutine: nothing runs until the task
-// is co_awaited (or handed to Simulator::spawn). Completion resumes the
+// is co_awaited (or handed to ShardContext::spawn). Completion resumes the
 // awaiter via symmetric transfer, so arbitrarily deep task chains use O(1)
 // stack. Exceptions propagate to the awaiter; exceptions escaping a
-// spawned (detached) task are captured by the Simulator and rethrown from
-// Simulator::run() — a simulated process dying must fail the experiment,
+// spawned (detached) task are captured by the ShardContext and rethrown from
+// ShardContext::run() — a simulated process dying must fail the experiment,
 // never be silently dropped.
 #pragma once
 
@@ -93,7 +93,7 @@ class [[nodiscard]] Task {
     return std::move(*p.value);
   }
 
-  /// The raw handle (used by Simulator::spawn).
+  /// The raw handle (used by ShardContext::spawn).
   std::coroutine_handle<promise_type> handle() const { return h_; }
   std::coroutine_handle<promise_type> release() {
     return std::exchange(h_, {});

@@ -1,6 +1,6 @@
 // TraceLog: structured event capture across the simulated substrate.
 //
-// When attached to a Simulator, instrumented components (CPU, links, NICs,
+// When attached to a ShardContext, instrumented components (CPU, links, NICs,
 // transports, MiniMPI, the COMB workers) emit records into a bounded ring.
 // The result is a per-run timeline that answers "what actually happened":
 // every interrupt, every packet, every protocol transition, every MPI

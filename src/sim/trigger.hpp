@@ -16,13 +16,13 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 
 namespace comb::sim {
 
 class Trigger {
  public:
-  explicit Trigger(Simulator& sim) : sim_(&sim) {}
+  explicit Trigger(ShardContext& sim) : sim_(&sim) {}
   Trigger(const Trigger&) = delete;
   Trigger& operator=(const Trigger&) = delete;
 
@@ -65,7 +65,7 @@ class Trigger {
   std::size_t waiterCount() const { return (first_ ? 1 : 0) + more_.size(); }
 
  private:
-  Simulator* sim_;
+  ShardContext* sim_;
   bool fired_ = false;
   // The oldest waiter sits inline, so the common single-waiter wait
   // allocates nothing; later ones spill into `more_` in arrival order.
@@ -76,7 +76,7 @@ class Trigger {
 /// Completes waiters after arrive() was called `expected` times.
 class CountLatch {
  public:
-  CountLatch(Simulator& sim, std::size_t expected)
+  CountLatch(ShardContext& sim, std::size_t expected)
       : trigger_(sim), remaining_(expected) {
     if (remaining_ == 0) trigger_.fire();
   }

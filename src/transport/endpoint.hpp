@@ -120,7 +120,7 @@ class Endpoint {
   sim::ActivitySignal& activity() { return *activity_; }
 
  protected:
-  void initActivity(sim::Simulator& sim) {
+  void initActivity(sim::ShardContext& sim) {
     activity_ = std::make_unique<sim::ActivitySignal>(sim);
   }
   void signalActivity() { activity_->signal(); }

@@ -4,7 +4,7 @@
 
 namespace comb::transport {
 
-GmEndpoint::GmEndpoint(sim::Simulator& sim, host::Cpu& cpu,
+GmEndpoint::GmEndpoint(sim::ShardContext& sim, host::Cpu& cpu,
                        net::Fabric& fabric, net::NodeId node, GmConfig cfg)
     : sim_(sim), cpu_(cpu), node_(node), cfg_(cfg),
       nic_(sim, fabric, node, cfg.rel) {

@@ -27,7 +27,7 @@
 #include "host/cpu.hpp"
 #include "net/fabric.hpp"
 #include "nic/gm_nic.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/reliability.hpp"
 #include "transport/send_order.hpp"
@@ -62,7 +62,7 @@ struct GmConfig {
 /// path) without touching the protocol itself.
 class GmEndpoint : public Endpoint {
  public:
-  GmEndpoint(sim::Simulator& sim, host::Cpu& cpu, net::Fabric& fabric,
+  GmEndpoint(sim::ShardContext& sim, host::Cpu& cpu, net::Fabric& fabric,
              net::NodeId node, GmConfig cfg);
 
   sim::Task<void> postSend(TxReq req) override;
@@ -102,7 +102,7 @@ class GmEndpoint : public Endpoint {
     return static_cast<Time>(n) / rate;
   }
 
-  sim::Simulator& sim_;
+  sim::ShardContext& sim_;
   host::Cpu& cpu_;
   net::NodeId node_;
   GmConfig cfg_;

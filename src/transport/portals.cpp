@@ -4,7 +4,7 @@
 
 namespace comb::transport {
 
-PortalsEndpoint::PortalsEndpoint(sim::Simulator& sim, host::Cpu& libCpu,
+PortalsEndpoint::PortalsEndpoint(sim::ShardContext& sim, host::Cpu& libCpu,
                                  host::Cpu& kernelCpu, net::Fabric& fabric,
                                  net::NodeId node, PortalsConfig cfg)
     : sim_(sim),

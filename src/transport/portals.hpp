@@ -23,7 +23,7 @@
 #include "net/fabric.hpp"
 #include "nic/portals_nic.hpp"
 #include "nic/reassembler.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/reliability.hpp"
 #include "transport/send_order.hpp"
@@ -53,7 +53,7 @@ class PortalsEndpoint final : public Endpoint {
   /// `kernelCpu` services NIC interrupts and kernel protocol work. On the
   /// paper's uniprocessor nodes they are the same CPU; the SMP extension
   /// (the paper's stated future work) steers them apart.
-  PortalsEndpoint(sim::Simulator& sim, host::Cpu& libCpu,
+  PortalsEndpoint(sim::ShardContext& sim, host::Cpu& libCpu,
                   host::Cpu& kernelCpu, net::Fabric& fabric, net::NodeId node,
                   PortalsConfig cfg);
 
@@ -84,7 +84,7 @@ class PortalsEndpoint final : public Endpoint {
   /// Hand a complete message to its claim, or queue it unexpected.
   void kernelDeliver(net::NodeId src, std::uint64_t msgId);
 
-  sim::Simulator& sim_;
+  sim::ShardContext& sim_;
   host::Cpu& cpu_;
   net::NodeId node_;
   PortalsConfig cfg_;

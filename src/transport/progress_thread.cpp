@@ -7,7 +7,7 @@
 
 namespace comb::transport {
 
-ProgressThreadEndpoint::ProgressThreadEndpoint(sim::Simulator& sim,
+ProgressThreadEndpoint::ProgressThreadEndpoint(sim::ShardContext& sim,
                                                host::Cpu& appCpu,
                                                host::Cpu& engineCpu,
                                                net::Fabric& fabric,

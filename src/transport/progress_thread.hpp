@@ -58,7 +58,7 @@ class ProgressThreadEndpoint final : public GmEndpoint {
   /// placement both refer to the same CPU and engine work is charged
   /// through the interrupt path (it preempts user compute, exactly like
   /// a timeslice steal).
-  ProgressThreadEndpoint(sim::Simulator& sim, host::Cpu& appCpu,
+  ProgressThreadEndpoint(sim::ShardContext& sim, host::Cpu& appCpu,
                          host::Cpu& engineCpu, net::Fabric& fabric,
                          net::NodeId node, ProgressThreadConfig cfg);
 

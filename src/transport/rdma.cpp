@@ -5,7 +5,7 @@
 
 namespace comb::transport {
 
-RdmaEndpoint::RdmaEndpoint(sim::Simulator& sim, host::Cpu& cpu,
+RdmaEndpoint::RdmaEndpoint(sim::ShardContext& sim, host::Cpu& cpu,
                            net::Fabric& fabric, net::NodeId node,
                            RdmaConfig cfg)
     : sim_(sim), cpu_(cpu), node_(node), cfg_(cfg),

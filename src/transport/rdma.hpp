@@ -33,7 +33,7 @@
 #include "net/fabric.hpp"
 #include "nic/rdma_nic.hpp"
 #include "nic/reassembler.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "transport/endpoint.hpp"
 #include "transport/reliability.hpp"
 #include "transport/send_order.hpp"
@@ -60,7 +60,7 @@ struct RdmaConfig {
 
 class RdmaEndpoint final : public Endpoint {
  public:
-  RdmaEndpoint(sim::Simulator& sim, host::Cpu& cpu, net::Fabric& fabric,
+  RdmaEndpoint(sim::ShardContext& sim, host::Cpu& cpu, net::Fabric& fabric,
                net::NodeId node, RdmaConfig cfg);
 
   sim::Task<void> postSend(TxReq req) override;
@@ -94,7 +94,7 @@ class RdmaEndpoint final : public Endpoint {
   /// Rts); a hit completes after matchDelay.
   void hwMatch(Arrival msg);
 
-  sim::Simulator& sim_;
+  sim::ShardContext& sim_;
   host::Cpu& cpu_;
   net::NodeId node_;
   RdmaConfig cfg_;

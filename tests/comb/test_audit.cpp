@@ -145,7 +145,7 @@ TEST(AuditIntegration, PwwTraceMatchesReportedPointOnBothMachines) {
   params.reps = 4;
   for (const auto& machine :
        {backend::gmMachine(), backend::portalsMachine()}) {
-    const auto run = runPwwPointTraced(machine, params);
+    const auto run = runPointTraced(machine, params);
     ASSERT_NE(run.trace, nullptr);
     EXPECT_EQ(run.trace->dropped(), 0u) << machine.name;
     const PwwAudit audit = auditPww(*run.trace);
@@ -168,7 +168,7 @@ TEST(AuditIntegration, PollingTraceMatchesReportedPointOnBothMachines) {
   params.maxPolls = 4'000;
   for (const auto& machine :
        {backend::gmMachine(), backend::portalsMachine()}) {
-    const auto run = runPollingPointTraced(machine, params);
+    const auto run = runPointTraced(machine, params);
     ASSERT_NE(run.trace, nullptr);
     EXPECT_EQ(run.trace->dropped(), 0u) << machine.name;
     const PollingAudit audit = auditPolling(*run.trace);
@@ -189,7 +189,7 @@ TEST(AuditIntegration, ProgressEngineTraceAuditsLosslessAndLossy) {
     for (const double drop : {0.0, 0.01}) {
       machine.fabric.link.fault.dropProb = drop;
       machine.fabric.link.fault.seed = 3;
-      const auto run = runPwwPointTraced(machine, params);
+      const auto run = runPointTraced(machine, params);
       ASSERT_NE(run.trace, nullptr);
       EXPECT_EQ(run.trace->openSpans(), 0u) << machine.name << " " << drop;
       EXPECT_GT(run.trace->countSpans(TraceCategory::Engine), 0u)
@@ -208,8 +208,8 @@ TEST(AuditIntegration, TracedPointEqualsUntracedPoint) {
   params.workInterval = 150'000;
   params.reps = 3;
   const auto machine = backend::portalsMachine();
-  const PwwPoint plain = runPwwPoint(machine, params);
-  const auto traced = runPwwPointTraced(machine, params);
+  const PwwPoint plain = runPoint(machine, params);
+  const auto traced = runPointTraced(machine, params);
   EXPECT_EQ(plain.avgPost, traced.point.avgPost);
   EXPECT_EQ(plain.avgWork, traced.point.avgWork);
   EXPECT_EQ(plain.avgWait, traced.point.avgWait);

@@ -140,7 +140,7 @@ TEST(Congestion, PairwiseInvariantOnNonBlockingFabric) {
     const auto machine = starMachine(kind);
     std::vector<double> mean;
     for (const std::uint64_t n : {4ull, 8ull, 16ull}) {
-      const auto pt = runCongestionPoint(
+      const auto pt = runPoint(
           machine, quickParams(CongestionPattern::AllToAll, n));
       EXPECT_EQ(pt.messagesDelivered, n * 2u);
       EXPECT_EQ(pt.switches.dropsNoRoute, 0u);
@@ -161,7 +161,7 @@ TEST(Congestion, IncastPerSenderBandwidthFallsWithFanIn) {
     double prev = 0.0;
     bool first = true;
     for (const std::uint64_t n : {4ull, 8ull, 16ull}) {
-      const auto pt = runCongestionPoint(
+      const auto pt = runPoint(
           machine, quickParams(CongestionPattern::Incast, n));
       EXPECT_EQ(pt.messagesDelivered, (n - 1) * 2u);
       EXPECT_GT(pt.minNodeBandwidthBps, 0.0);
@@ -185,7 +185,7 @@ TEST(Congestion, CreditBackpressureLosslessUnderOversubscription) {
   for (const double scale : {1.0, 0.25}) {
     const auto machine =
         fatTreeMachine(TransportKind::Gm, scale, net::Backpressure::Credit);
-    const auto pt = runCongestionPoint(machine, p);
+    const auto pt = runPoint(machine, p);
     EXPECT_EQ(pt.messagesDelivered, 14u);
     EXPECT_EQ(pt.switches.dropsQueue, 0u);
     EXPECT_EQ(pt.fault.retransmits, 0u);  // lossless: protocol never engages
@@ -204,7 +204,7 @@ TEST(Congestion, TailDropsMonotoneInOversubscription) {
   for (const double scale : {1.0, 0.25}) {
     const auto machine =
         fatTreeMachine(TransportKind::Gm, scale, net::Backpressure::TailDrop);
-    const auto pt = runCongestionPoint(machine, p);
+    const auto pt = runPoint(machine, p);
     // Retransmission guarantees delivery despite the drops.
     EXPECT_EQ(pt.messagesDelivered, 14u);
     drops.push_back(pt.switches.dropsQueue);
@@ -217,7 +217,7 @@ TEST(Congestion, QueuePeakObservedUnderContention) {
   const auto machine =
       fatTreeMachine(TransportKind::Gm, 0.5, net::Backpressure::Credit);
   const auto pt =
-      runCongestionPoint(machine, quickParams(CongestionPattern::Incast, 8));
+      runPoint(machine, quickParams(CongestionPattern::Incast, 8));
   EXPECT_GT(pt.switches.queuePeakPackets, 0u);
 }
 
@@ -229,8 +229,8 @@ TEST(Congestion, SweepParallelIsBitIdentical) {
   serial.jobs = 1;
   RunOptions parallel;
   parallel.jobs = 4;
-  const auto a = runCongestionSweep(machine, spec, serial);
-  const auto b = runCongestionSweep(machine, spec, parallel);
+  const auto a = runSweep(machine, spec, serial);
+  const auto b = runSweep(machine, spec, parallel);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].bandwidthBps, b[i].bandwidthBps);
@@ -246,7 +246,7 @@ TEST(Congestion, RepsIdenticalOnLosslessFabric) {
   const auto machine = starMachine(TransportKind::Portals);
   RunOptions opts;
   opts.rep.reps = 3;
-  const auto run = runCongestionPointReps(
+  const auto run = runPointReps(
       machine, quickParams(CongestionPattern::Incast, 4), opts);
   ASSERT_EQ(run.reps.size(), 3u);
   for (const auto& rep : run.reps) {
@@ -259,15 +259,15 @@ TEST(Congestion, RepsIdenticalOnLosslessFabric) {
 TEST(Congestion, RejectsBadParameters) {
   const auto machine = starMachine(TransportKind::Gm);
   CongestionParams p = quickParams(CongestionPattern::Incast, 1);
-  EXPECT_THROW(runCongestionPoint(machine, p), ConfigError);
+  EXPECT_THROW(runPoint(machine, p), ConfigError);
   p = quickParams(CongestionPattern::Incast, 4);
   p.window = 0;
-  EXPECT_THROW(runCongestionPoint(machine, p), ConfigError);
+  EXPECT_THROW(runPoint(machine, p), ConfigError);
 }
 
 TEST(Congestion, AvailabilityWithinUnitInterval) {
   for (const auto kind : {TransportKind::Gm, TransportKind::Portals}) {
-    const auto pt = runCongestionPoint(
+    const auto pt = runPoint(
         starMachine(kind), quickParams(CongestionPattern::AllToAll, 6));
     EXPECT_GT(pt.availability, 0.0);
     EXPECT_LE(pt.availability, 1.0 + 1e-9);

@@ -47,7 +47,7 @@ std::string fig04StyleCsv(const backend::MachineConfig& machine, int jobs) {
   opts.jobs = jobs;
   const auto intervals = presets::pollSweep(1);
   const auto pts =
-      runPollingSweep(machine, sweepOver(identityBase(), intervals), opts);
+      runSweep(machine, sweepOver(identityBase(), intervals), opts);
   std::ostringstream out;
   pollingFigure(intervals, pts).writeCsv(out);
   return out.str();
@@ -62,7 +62,7 @@ std::string fig04StyleCsvTraced(const backend::MachineConfig& machine) {
   for (const auto interval : intervals) {
     auto params = identityBase();
     params.pollInterval = interval;
-    pts.push_back(runPollingPointTraced(machine, params).point);
+    pts.push_back(runPointTraced(machine, params).point);
   }
   std::ostringstream out;
   pollingFigure(intervals, pts).writeCsv(out);

@@ -105,14 +105,14 @@ TEST(FaultInjection, SameSeedIsBitIdenticalDifferentSeedIsNot) {
     SCOPED_TRACE(machine.name);
     RunOptions opts;
     opts.fault = net::parseFaultSpec("drop=0.03,seed=5");
-    const auto a = runPollingPoint(machine, quickBase(), opts);
-    const auto b = runPollingPoint(machine, quickBase(), opts);
+    const auto a = runPoint(machine, quickBase(), opts);
+    const auto b = runPoint(machine, quickBase(), opts);
     expectSamePoint(a, b);
     EXPECT_GT(a.fault.dropsInjected, 0u);
 
     RunOptions other;
     other.fault = net::parseFaultSpec("drop=0.03,seed=6");
-    const auto c = runPollingPoint(machine, quickBase(), other);
+    const auto c = runPoint(machine, quickBase(), other);
     EXPECT_TRUE(a.fault.dropsInjected != c.fault.dropsInjected ||
                 a.liveTime != c.liveTime)
         << "seed change did not alter the fault stream";
@@ -130,8 +130,8 @@ TEST(FaultInjection, ParallelSweepBitIdenticalUnderLoss) {
     serial.fault = net::parseFaultSpec("drop=0.02,burst=2,seed=7");
     RunOptions parallel = serial;
     parallel.jobs = 4;
-    const auto a = runPollingSweep(machine, spec, serial);
-    const auto b = runPollingSweep(machine, spec, parallel);
+    const auto a = runSweep(machine, spec, serial);
+    const auto b = runSweep(machine, spec, parallel);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
       SCOPED_TRACE(i);
@@ -143,12 +143,12 @@ TEST(FaultInjection, ParallelSweepBitIdenticalUnderLoss) {
 TEST(FaultInjection, LosslessFabricIsUntouchedByTheMachinery) {
   for (const auto& machine : allStacks()) {
     SCOPED_TRACE(machine.name);
-    const auto plain = runPollingPoint(machine, quickBase());
+    const auto plain = runPoint(machine, quickBase());
     // An inactive FaultSpec — even with a different seed — must leave the
     // timeline byte-identical: no acks, no timers, no counters.
     auto inert = machine;
     inert.fabric.link.fault.seed = 999;
-    const auto guarded = runPollingPoint(inert, quickBase());
+    const auto guarded = runPoint(inert, quickBase());
     expectSamePoint(plain, guarded);
     EXPECT_FALSE(plain.fault.any());
     EXPECT_FALSE(guarded.fault.any());

@@ -45,8 +45,8 @@ std::vector<double> ys(const Points& pts, F&& f) {
 }
 
 TEST(FigurePipeline, Fig4AvailabilityRise) {
-  const auto pts = runPollingSweep(backend::portalsMachine(),
-                                   sweepOver(quickPolling(100_KB), quickPolls()));
+  const auto pts = runSweep(backend::portalsMachine(),
+                            sweepOver(quickPolling(100_KB), quickPolls()));
   const auto avail =
       ys(pts, [](const PollingPoint& p) { return p.availability; });
   EXPECT_TRUE(
@@ -55,17 +55,17 @@ TEST(FigurePipeline, Fig4AvailabilityRise) {
 }
 
 TEST(FigurePipeline, Fig5PlateauDecline) {
-  const auto pts = runPollingSweep(backend::portalsMachine(),
-                                   sweepOver(quickPolling(100_KB), quickPolls()));
+  const auto pts = runSweep(backend::portalsMachine(),
+                            sweepOver(quickPolling(100_KB), quickPolls()));
   const auto bw =
       ys(pts, [](const PollingPoint& p) { return toMBps(p.bandwidthBps); });
   EXPECT_TRUE(report::checkPlateauThenDecline("fig5", bw, 0.2, 0.5).pass);
 }
 
 TEST(FigurePipeline, Fig8WhoWins) {
-  const auto gm = runPollingSweep(backend::gmMachine(),
-                                  sweepOver(quickPolling(100_KB), quickPolls()));
-  const auto portals = runPollingSweep(
+  const auto gm = runSweep(backend::gmMachine(),
+                           sweepOver(quickPolling(100_KB), quickPolls()));
+  const auto portals = runSweep(
       backend::portalsMachine(), sweepOver(quickPolling(100_KB), quickPolls()));
   const auto gmBw =
       ys(gm, [](const PollingPoint& p) { return toMBps(p.bandwidthBps); });
@@ -76,10 +76,10 @@ TEST(FigurePipeline, Fig8WhoWins) {
 
 TEST(FigurePipeline, Fig11OffloadDetector) {
   const auto gm =
-      runPwwSweep(backend::gmMachine(), sweepOver(quickPww(100_KB), quickWorks()));
+      runSweep(backend::gmMachine(), sweepOver(quickPww(100_KB), quickWorks()));
   const auto portals =
-      runPwwSweep(backend::portalsMachine(),
-                  sweepOver(quickPww(100_KB), quickWorks()));
+      runSweep(backend::portalsMachine(),
+               sweepOver(quickPww(100_KB), quickWorks()));
   const auto gmWait =
       ys(gm, [](const PwwPoint& p) { return p.avgWaitPerMsg * 1e6; });
   const auto ptlWait =
@@ -90,8 +90,8 @@ TEST(FigurePipeline, Fig11OffloadDetector) {
 }
 
 TEST(FigurePipeline, Fig14GmFrontier) {
-  const auto pts = runPollingSweep(backend::gmMachine(),
-                                   sweepOver(quickPolling(100_KB), quickPolls()));
+  const auto pts = runSweep(backend::gmMachine(),
+                            sweepOver(quickPolling(100_KB), quickPolls()));
   const auto avail =
       ys(pts, [](const PollingPoint& p) { return p.availability; });
   const auto bw =
@@ -106,9 +106,9 @@ TEST(FigurePipeline, Fig17CallEffect) {
   auto withTest = plain;
   withTest.testCallAtFraction = 0.1;
   const auto works = quickWorks();
-  const auto a = runPwwSweep(backend::gmMachine(), sweepOver(plain, works));
+  const auto a = runSweep(backend::gmMachine(), sweepOver(plain, works));
   const auto b =
-      runPwwSweep(backend::gmMachine(), sweepOver(withTest, works));
+      runSweep(backend::gmMachine(), sweepOver(withTest, works));
   // At the longest work interval the test call must have drained the wait.
   EXPECT_GT(a.back().avgWaitPerMsg, 800e-6);
   EXPECT_LT(b.back().avgWaitPerMsg, 100e-6);
@@ -116,8 +116,8 @@ TEST(FigurePipeline, Fig17CallEffect) {
 
 TEST(FigurePipeline, FigureRendersFromSweep) {
   // End-to-end: sweep -> Figure -> render + CSV, no exceptions, sane text.
-  const auto pts = runPollingSweep(backend::gmMachine(),
-                                   sweepOver(quickPolling(50_KB), quickPolls()));
+  const auto pts = runSweep(backend::gmMachine(),
+                            sweepOver(quickPolling(50_KB), quickPolls()));
   report::Figure fig("itest", "Integration", "poll_interval", "MBps");
   report::Series s{"GM 50KB", {}, {}};
   for (const auto& p : pts) {

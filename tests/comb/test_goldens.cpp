@@ -25,7 +25,7 @@ constexpr double kRel = 1e-6;
 TEST(Goldens, PollingGm100KbAt10kIters) {
   auto p = presets::pollingBase(100_KB);
   p.pollInterval = 10'000;
-  const auto pt = runPollingPoint(backend::gmMachine(), p);
+  const auto pt = runPoint(backend::gmMachine(), p);
   EXPECT_NEAR(pt.bandwidthBps, 86856212.25, 86856212.25 * kRel);
   EXPECT_NEAR(pt.availability, 0.9703467463, 0.9703467463 * kRel);
   EXPECT_EQ(pt.messagesReceived, 25u);
@@ -34,7 +34,7 @@ TEST(Goldens, PollingGm100KbAt10kIters) {
 TEST(Goldens, PollingPortals100KbAt10kIters) {
   auto p = presets::pollingBase(100_KB);
   p.pollInterval = 10'000;
-  const auto pt = runPollingPoint(backend::portalsMachine(), p);
+  const auto pt = runPoint(backend::portalsMachine(), p);
   EXPECT_NEAR(pt.bandwidthBps, 59330732.26, 59330732.26 * kRel);
   EXPECT_NEAR(pt.availability, 0.03812063482, 0.03812063482 * kRel);
   EXPECT_EQ(pt.messagesReceived, 435u);
@@ -43,7 +43,7 @@ TEST(Goldens, PollingPortals100KbAt10kIters) {
 TEST(Goldens, PwwGm100KbAt1MIters) {
   auto p = presets::pwwBase(100_KB);
   p.workInterval = 1'000'000;
-  const auto pt = runPwwPoint(backend::gmMachine(), p);
+  const auto pt = runPoint(backend::gmMachine(), p);
   EXPECT_NEAR(pt.avgPost, 1e-05, 1e-05 * kRel);
   EXPECT_NEAR(pt.avgWork, 0.004, 0.004 * kRel);
   EXPECT_NEAR(pt.avgWait, 0.001218011111, 0.001218011111 * kRel);
@@ -52,7 +52,7 @@ TEST(Goldens, PwwGm100KbAt1MIters) {
 TEST(Goldens, PwwPortals100KbAt1MIters) {
   auto p = presets::pwwBase(100_KB);
   p.workInterval = 1'000'000;
-  const auto pt = runPwwPoint(backend::portalsMachine(), p);
+  const auto pt = runPoint(backend::portalsMachine(), p);
   EXPECT_NEAR(pt.avgPost, 0.0006096, 0.0006096 * kRel);
   EXPECT_NEAR(pt.avgWork, 0.005403571429, 0.005403571429 * kRel);
   EXPECT_NEAR(pt.avgWait, 1.2e-06, 1.2e-06 * kRel);
@@ -61,8 +61,8 @@ TEST(Goldens, PwwPortals100KbAt1MIters) {
 TEST(Goldens, Latency10Kb) {
   LatencyParams lp;
   lp.msgBytes = 10_KB;
-  const auto gm = runLatencyPoint(backend::gmMachine(), lp);
-  const auto ptl = runLatencyPoint(backend::portalsMachine(), lp);
+  const auto gm = runPoint(backend::gmMachine(), lp);
+  const auto ptl = runPoint(backend::portalsMachine(), lp);
   EXPECT_NEAR(gm.halfRoundTripAvg, 0.0002355147619,
               0.0002355147619 * kRel);
   EXPECT_NEAR(ptl.halfRoundTripAvg, 0.0003299380952,
@@ -85,7 +85,7 @@ void expectLossyGolden(const backend::MachineConfig& machine,
   p.pollInterval = 10'000;
   RunOptions opts;
   opts.fault = net::parseFaultSpec("drop=0.02,burst=2,seed=3");
-  const auto pt = runPollingPoint(machine, p, opts);
+  const auto pt = runPoint(machine, p, opts);
   EXPECT_NEAR(pt.bandwidthBps, want.bandwidthBps, want.bandwidthBps * kRel);
   EXPECT_NEAR(pt.availability, want.availability, want.availability * kRel);
   EXPECT_EQ(pt.messagesReceived, want.messagesReceived);

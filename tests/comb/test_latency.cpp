@@ -16,7 +16,7 @@ TEST(Latency, PositiveAndOrdered) {
   LatencyParams p;
   p.msgBytes = 10_KB;
   p.reps = 10;
-  const auto pt = runLatencyPoint(backend::gmMachine(), p);
+  const auto pt = runPoint(backend::gmMachine(), p);
   EXPECT_GT(pt.halfRoundTripMin, 0.0);
   EXPECT_GE(pt.halfRoundTripAvg, pt.halfRoundTripMin);
   EXPECT_GT(pt.bandwidthBps, 0.0);
@@ -26,7 +26,7 @@ TEST(Latency, PositiveAndOrdered) {
 TEST(Latency, GrowsWithSize) {
   LatencyParams base;
   base.reps = 8;
-  const auto pts = runLatencySweep(
+  const auto pts = runSweep(
       backend::gmMachine(), sweepOver(base, {1_KB, 10_KB, 100_KB}));
   ASSERT_EQ(pts.size(), 3u);
   EXPECT_LT(pts[0].halfRoundTripAvg, pts[1].halfRoundTripAvg);
@@ -37,8 +37,8 @@ TEST(Latency, GmBeatsPortals) {
   LatencyParams p;
   p.msgBytes = 10_KB;
   p.reps = 8;
-  const auto gm = runLatencyPoint(backend::gmMachine(), p);
-  const auto portals = runLatencyPoint(backend::portalsMachine(), p);
+  const auto gm = runPoint(backend::gmMachine(), p);
+  const auto portals = runPoint(backend::portalsMachine(), p);
   EXPECT_LT(gm.halfRoundTripAvg, portals.halfRoundTripAvg);
 }
 
@@ -49,7 +49,7 @@ TEST(Latency, SteadyStateIsTight) {
   LatencyParams p;
   p.msgBytes = 50_KB;
   p.reps = 6;
-  const auto pt = runLatencyPoint(backend::portalsMachine(), p);
+  const auto pt = runPoint(backend::portalsMachine(), p);
   EXPECT_NEAR(pt.halfRoundTripAvg, pt.halfRoundTripMin,
               pt.halfRoundTripMin * 0.02);
 }
@@ -58,12 +58,12 @@ TEST(SmpExtension, SteeringRestoresAvailability) {
   auto base = presets::pollingBase(100_KB);
   base.pollInterval = 20'000;
   base.targetDuration = 15e-3;
-  const auto uni = runPollingPoint(backend::portalsMachine(), base);
+  const auto uni = runPoint(backend::portalsMachine(), base);
 
   auto smpMachine = backend::portalsMachine();
   smpMachine.cpusPerNode = 2;
   smpMachine.nicCpu = 1;
-  const auto smp = runPollingPoint(smpMachine, base);
+  const auto smp = runPoint(smpMachine, base);
 
   EXPECT_LT(uni.availability, 0.3);
   EXPECT_GT(smp.availability, 0.7);
@@ -101,9 +101,9 @@ TEST(SmpExtension, GmUnaffectedBySteering) {
   auto base = presets::pollingBase(100_KB);
   base.pollInterval = 20'000;
   base.targetDuration = 10e-3;
-  const auto steered = runPollingPoint(machine, base);
+  const auto steered = runPoint(machine, base);
   const auto plain =
-      runPollingPoint(backend::gmMachine(), base);
+      runPoint(backend::gmMachine(), base);
   // GM raises no interrupts: steering changes nothing.
   EXPECT_DOUBLE_EQ(steered.availability, plain.availability);
   EXPECT_DOUBLE_EQ(steered.bandwidthBps, plain.bandwidthBps);

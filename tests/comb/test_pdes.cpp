@@ -83,8 +83,8 @@ TEST(Pdes, ShardedPollingMatchesSerialBitIdentical) {
     auto params = presets::pollingBase(100 * 1024);
     params.targetDuration = 3e-3;
     params.maxPolls = 5'000;
-    const auto serial = runPollingPoint(machine, params);
-    const auto sharded = runPollingPoint(machine, params, simJobs(2));
+    const auto serial = runPoint(machine, params);
+    const auto sharded = runPoint(machine, params, simJobs(2));
     EXPECT_EQ(serial.bandwidthBps, sharded.bandwidthBps) << machine.name;
     EXPECT_EQ(serial.availability, sharded.availability) << machine.name;
     EXPECT_EQ(serial.messagesReceived, sharded.messagesReceived)
@@ -100,8 +100,8 @@ TEST(Pdes, ShardedPwwMatchesSerialBitIdentical) {
                              : backend::portalsMachine();
     auto params = presets::pwwBase(100 * 1024);
     params.workInterval = 200'000;
-    const auto serial = runPwwPoint(machine, params);
-    const auto sharded = runPwwPoint(machine, params, simJobs(2));
+    const auto serial = runPoint(machine, params);
+    const auto sharded = runPoint(machine, params, simJobs(2));
     EXPECT_EQ(serial.bandwidthBps, sharded.bandwidthBps) << machine.name;
     EXPECT_EQ(serial.availability, sharded.availability) << machine.name;
     EXPECT_EQ(serial.avgPostPerOp, sharded.avgPostPerOp) << machine.name;
@@ -119,8 +119,8 @@ TEST(Pdes, ShardedCongestionOnFatTreeMatchesSerial) {
         CongestionPattern::AllToAll}) {
     const auto machine = fatTree(TransportKind::Gm);
     const auto params = congestion(pattern, 8);
-    const auto serial = runCongestionPoint(machine, params);
-    const auto sharded = runCongestionPoint(machine, params, simJobs(4));
+    const auto serial = runPoint(machine, params);
+    const auto sharded = runPoint(machine, params, simJobs(4));
     expectSameCongestion(serial, sharded);
   }
 }
@@ -133,17 +133,17 @@ TEST(Pdes, ShardSkewIncastAtExactLookahead) {
   // windowEnd) shows up as divergence from the serial run here.
   const auto machine = fatTree(TransportKind::Portals);
   const auto params = congestion(CongestionPattern::Incast, 8);
-  const auto serial = runCongestionPoint(machine, params);
-  const auto sharded = runCongestionPoint(machine, params, simJobs(2));
+  const auto serial = runPoint(machine, params);
+  const auto sharded = runPoint(machine, params, simJobs(2));
   expectSameCongestion(serial, sharded);
 }
 
 TEST(Pdes, ShardedRunsAreDeterministic) {
   const auto machine = fatTree(TransportKind::Gm);
   const auto params = congestion(CongestionPattern::AllToAll, 8);
-  const auto first = runCongestionPoint(machine, params, simJobs(4));
+  const auto first = runPoint(machine, params, simJobs(4));
   for (int i = 0; i < 2; ++i) {
-    const auto again = runCongestionPoint(machine, params, simJobs(4));
+    const auto again = runPoint(machine, params, simJobs(4));
     expectSameCongestion(first, again);
   }
 }
@@ -155,9 +155,9 @@ TEST(Pdes, TracedShardedRunPassesOverlapAudit) {
   auto params = presets::pollingBase(100 * 1024);
   params.targetDuration = 3e-3;
   params.maxPolls = 5'000;
-  const auto serial = runPollingPointTraced(backend::gmMachine(), params);
+  const auto serial = runPointTraced(backend::gmMachine(), params);
   const auto sharded =
-      runPollingPointTraced(backend::gmMachine(), params, simJobs(2));
+      runPointTraced(backend::gmMachine(), params, simJobs(2));
   ASSERT_NE(sharded.trace, nullptr);
   EXPECT_EQ(serial.point.bandwidthBps, sharded.point.bandwidthBps);
   EXPECT_EQ(serial.trace->size(), sharded.trace->size());
@@ -202,8 +202,8 @@ TEST(Pdes, SingleNodeShardsOnStarMatchSerial) {
   // traffic crosses shards.
   const auto machine = backend::gmMachine();
   const auto params = congestion(CongestionPattern::AllToAll, 4);
-  const auto serial = runCongestionPoint(machine, params);
-  const auto sharded = runCongestionPoint(machine, params, simJobs(4));
+  const auto serial = runPoint(machine, params);
+  const auto sharded = runPoint(machine, params, simJobs(4));
   expectSameCongestion(serial, sharded);
 }
 
@@ -225,9 +225,9 @@ TEST(Pdes, SimJobsAboveBlockCountClampsAndStillMatches) {
   auto params = presets::pollingBase(10 * 1024);
   params.targetDuration = 3e-3;
   params.maxPolls = 2'000;
-  const auto serial = runPollingPoint(backend::gmMachine(), params);
+  const auto serial = runPoint(backend::gmMachine(), params);
   const auto sharded =
-      runPollingPoint(backend::gmMachine(), params, simJobs(64));
+      runPoint(backend::gmMachine(), params, simJobs(64));
   EXPECT_EQ(serial.bandwidthBps, sharded.bandwidthBps);
   EXPECT_EQ(serial.messagesReceived, sharded.messagesReceived);
 }

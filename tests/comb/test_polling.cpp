@@ -36,14 +36,14 @@ class PollingTest : public ::testing::TestWithParam<TransportKind> {
 
 TEST_P(PollingTest, AvailabilityWithinUnitInterval) {
   for (const std::uint64_t interval : {100ull, 100'000ull, 10'000'000ull}) {
-    const auto pt = runPollingPoint(machine(), quickParams(100_KB, interval));
+    const auto pt = runPoint(machine(), quickParams(100_KB, interval));
     EXPECT_GT(pt.availability, 0.0) << "interval " << interval;
     EXPECT_LE(pt.availability, 1.0 + 1e-9) << "interval " << interval;
   }
 }
 
 TEST_P(PollingTest, BandwidthPositiveAndBelowWire) {
-  const auto pt = runPollingPoint(machine(), quickParams(100_KB, 10'000));
+  const auto pt = runPoint(machine(), quickParams(100_KB, 10'000));
   EXPECT_GT(pt.bandwidthBps, 0.0);
   // One-direction goodput can never exceed the configured link rate.
   EXPECT_LT(pt.bandwidthBps, machine().fabric.link.rate);
@@ -51,7 +51,7 @@ TEST_P(PollingTest, BandwidthPositiveAndBelowWire) {
 
 TEST_P(PollingTest, DryRunMatchesWorkAnalytically) {
   const auto params = quickParams(100_KB, 50'000);
-  const auto pt = runPollingPoint(machine(), params);
+  const auto pt = runPoint(machine(), params);
   // Dry run executes polls*interval iterations of pure work. A small
   // tail of kernel work from the preceding barrier may still interrupt
   // the first loop iterations on Portals, hence the 1% tolerance.
@@ -62,15 +62,15 @@ TEST_P(PollingTest, DryRunMatchesWorkAnalytically) {
 
 TEST_P(PollingTest, LiveRunNeverFasterThanDry) {
   for (const std::uint64_t interval : {1'000ull, 1'000'000ull}) {
-    const auto pt = runPollingPoint(machine(), quickParams(100_KB, interval));
+    const auto pt = runPoint(machine(), quickParams(100_KB, interval));
     EXPECT_GE(pt.liveTime, pt.dryTime * (1.0 - 1e-9));
   }
 }
 
 TEST_P(PollingTest, DeterministicAcrossRuns) {
   const auto params = quickParams(50_KB, 20'000);
-  const auto a = runPollingPoint(machine(), params);
-  const auto b = runPollingPoint(machine(), params);
+  const auto a = runPoint(machine(), params);
+  const auto b = runPoint(machine(), params);
   EXPECT_DOUBLE_EQ(a.availability, b.availability);
   EXPECT_DOUBLE_EQ(a.bandwidthBps, b.bandwidthBps);
   EXPECT_EQ(a.messagesReceived, b.messagesReceived);
@@ -78,23 +78,23 @@ TEST_P(PollingTest, DeterministicAcrossRuns) {
 }
 
 TEST_P(PollingTest, AvailabilityRisesWithPollInterval) {
-  const auto lo = runPollingPoint(machine(), quickParams(100_KB, 100));
+  const auto lo = runPoint(machine(), quickParams(100_KB, 100));
   const auto hi =
-      runPollingPoint(machine(), quickParams(100_KB, 100'000'000));
+      runPoint(machine(), quickParams(100_KB, 100'000'000));
   EXPECT_LT(lo.availability, 0.9);
   EXPECT_GT(hi.availability, 0.9);
   EXPECT_GT(hi.availability, lo.availability);
 }
 
 TEST_P(PollingTest, BandwidthCollapsesAtHugeIntervals) {
-  const auto plateau = runPollingPoint(machine(), quickParams(100_KB, 5'000));
+  const auto plateau = runPoint(machine(), quickParams(100_KB, 5'000));
   const auto sparse =
-      runPollingPoint(machine(), quickParams(100_KB, 100'000'000));
+      runPoint(machine(), quickParams(100_KB, 100'000'000));
   EXPECT_LT(sparse.bandwidthBps, 0.2 * plateau.bandwidthBps);
 }
 
 TEST_P(PollingTest, MessagesFlowBothWays) {
-  const auto pt = runPollingPoint(machine(), quickParams(10_KB, 1'000));
+  const auto pt = runPoint(machine(), quickParams(10_KB, 1'000));
   EXPECT_GT(pt.messagesReceived, 10u);
 }
 
@@ -102,8 +102,8 @@ TEST_P(PollingTest, QueueDepthOneIsPingPong) {
   auto deep = quickParams(100_KB, 5'000);
   auto shallow = deep;
   shallow.queueDepth = 1;
-  const auto ptDeep = runPollingPoint(machine(), deep);
-  const auto ptShallow = runPollingPoint(machine(), shallow);
+  const auto ptDeep = runPoint(machine(), deep);
+  const auto ptShallow = runPoint(machine(), shallow);
   EXPECT_LT(ptShallow.bandwidthBps, ptDeep.bandwidthBps);
 }
 
@@ -119,9 +119,9 @@ INSTANTIATE_TEST_SUITE_P(Machines, PollingTest,
 
 TEST(PollingCompare, GmOutperformsPortalsAtPlateau) {
   const auto gm =
-      runPollingPoint(backend::gmMachine(), quickParams(100_KB, 10'000));
+      runPoint(backend::gmMachine(), quickParams(100_KB, 10'000));
   const auto portals =
-      runPollingPoint(backend::portalsMachine(), quickParams(100_KB, 10'000));
+      runPoint(backend::portalsMachine(), quickParams(100_KB, 10'000));
   EXPECT_GT(gm.bandwidthBps, 1.3 * portals.bandwidthBps);
   EXPECT_LT(gm.bandwidthBps, 2.0 * portals.bandwidthBps);
 }
@@ -130,9 +130,9 @@ TEST(PollingCompare, PortalsBurnsCpuWhileGmDoesNot) {
   // At a mid poll interval with full message flow, GM's availability is
   // high (NIC offload) while Portals' is low (interrupts + copies).
   const auto gm =
-      runPollingPoint(backend::gmMachine(), quickParams(100_KB, 50'000));
+      runPoint(backend::gmMachine(), quickParams(100_KB, 50'000));
   const auto portals =
-      runPollingPoint(backend::portalsMachine(), quickParams(100_KB, 50'000));
+      runPoint(backend::portalsMachine(), quickParams(100_KB, 50'000));
   EXPECT_GT(gm.availability, 0.9);
   EXPECT_LT(portals.availability, 0.3);
 }
@@ -156,7 +156,7 @@ TEST_P(PollingSweepProperty, Invariants) {
   const auto& c = GetParam();
   auto params = quickParams(c.size, c.interval);
   params.targetDuration = 8e-3;
-  const auto pt = runPollingPoint(machineFor(c.kind), params);
+  const auto pt = runPoint(machineFor(c.kind), params);
   EXPECT_GT(pt.availability, 0.0);
   EXPECT_LE(pt.availability, 1.0 + 1e-9);
   EXPECT_GE(pt.bandwidthBps, 0.0);

@@ -31,7 +31,7 @@ class PwwTest : public ::testing::TestWithParam<TransportKind> {
 };
 
 TEST_P(PwwTest, PhasesArePositiveAndSumToCycle) {
-  const auto pt = runPwwPoint(machine(), quickParams(100_KB, 100'000));
+  const auto pt = runPoint(machine(), quickParams(100_KB, 100'000));
   EXPECT_GT(pt.avgPost, 0.0);
   EXPECT_GT(pt.avgWork, 0.0);
   EXPECT_GE(pt.avgWait, 0.0);
@@ -43,7 +43,7 @@ TEST_P(PwwTest, PhasesArePositiveAndSumToCycle) {
 }
 
 TEST_P(PwwTest, DryWorkMatchesAnalytic) {
-  const auto pt = runPwwPoint(machine(), quickParams(100_KB, 250'000));
+  const auto pt = runPoint(machine(), quickParams(100_KB, 250'000));
   // 1% tolerance: a tail of kernel work from the preceding barrier can
   // still interrupt the first dry iterations on Portals.
   EXPECT_NEAR(pt.dryWork, 250'000 * 4e-9, 250'000 * 4e-9 * 0.01);
@@ -51,14 +51,14 @@ TEST_P(PwwTest, DryWorkMatchesAnalytic) {
 
 TEST_P(PwwTest, WorkPhaseAtLeastDryWork) {
   for (const std::uint64_t w : {10'000ull, 1'000'000ull}) {
-    const auto pt = runPwwPoint(machine(), quickParams(100_KB, w));
+    const auto pt = runPoint(machine(), quickParams(100_KB, w));
     EXPECT_GE(pt.avgWork, pt.dryWork * (1.0 - 1e-9)) << "work " << w;
   }
 }
 
 TEST_P(PwwTest, AvailabilityRisesWithWorkInterval) {
-  const auto lo = runPwwPoint(machine(), quickParams(100_KB, 5'000));
-  const auto hi = runPwwPoint(machine(), quickParams(100_KB, 10'000'000));
+  const auto lo = runPoint(machine(), quickParams(100_KB, 5'000));
+  const auto hi = runPoint(machine(), quickParams(100_KB, 10'000'000));
   EXPECT_LT(lo.availability, 0.35);
   EXPECT_GT(hi.availability, 0.9);
 }
@@ -66,17 +66,17 @@ TEST_P(PwwTest, AvailabilityRisesWithWorkInterval) {
 TEST_P(PwwTest, NoInitialAvailabilityPlateau) {
   // Paper: PWW lacks the polling method's low plateau; availability keeps
   // falling as the work interval shrinks because the wait dominates.
-  const auto a = runPwwPoint(machine(), quickParams(100_KB, 2'000));
-  const auto b = runPwwPoint(machine(), quickParams(100_KB, 50'000));
-  const auto c = runPwwPoint(machine(), quickParams(100_KB, 500'000));
+  const auto a = runPoint(machine(), quickParams(100_KB, 2'000));
+  const auto b = runPoint(machine(), quickParams(100_KB, 50'000));
+  const auto c = runPoint(machine(), quickParams(100_KB, 500'000));
   EXPECT_LT(a.availability, b.availability);
   EXPECT_LT(b.availability, c.availability);
 }
 
 TEST_P(PwwTest, Deterministic) {
   const auto params = quickParams(50_KB, 123'456);
-  const auto a = runPwwPoint(machine(), params);
-  const auto b = runPwwPoint(machine(), params);
+  const auto a = runPoint(machine(), params);
+  const auto b = runPoint(machine(), params);
   EXPECT_DOUBLE_EQ(a.availability, b.availability);
   EXPECT_DOUBLE_EQ(a.avgPost, b.avgPost);
   EXPECT_DOUBLE_EQ(a.avgWait, b.avgWait);
@@ -86,8 +86,8 @@ TEST_P(PwwTest, BatchScalesBandwidth) {
   auto one = quickParams(50_KB, 20'000);
   auto four = one;
   four.batch = 4;
-  const auto ptOne = runPwwPoint(machine(), one);
-  const auto ptFour = runPwwPoint(machine(), four);
+  const auto ptOne = runPoint(machine(), one);
+  const auto ptFour = runPoint(machine(), four);
   // Four messages per cycle pipeline on the wire, so throughput must not
   // degrade and is bounded well under 4x. How much it *gains* depends on
   // the bottleneck: GM (wire-bound, per-message latency amortized) gains
@@ -112,9 +112,9 @@ INSTANTIATE_TEST_SUITE_P(Machines, PwwTest,
 
 TEST(PwwOffload, PortalsWaitVanishesGmWaitPersists) {
   const auto gm =
-      runPwwPoint(backend::gmMachine(), quickParams(100_KB, 5'000'000));
+      runPoint(backend::gmMachine(), quickParams(100_KB, 5'000'000));
   const auto portals =
-      runPwwPoint(backend::portalsMachine(), quickParams(100_KB, 5'000'000));
+      runPoint(backend::portalsMachine(), quickParams(100_KB, 5'000'000));
   // 5M iters = 20 ms of work: far beyond the ~1.2 ms exchange.
   EXPECT_LT(portals.avgWait, 50e-6);   // offload: messaging done during work
   EXPECT_GT(gm.avgWait, 800e-6);       // no offload: full exchange in wait
@@ -122,18 +122,18 @@ TEST(PwwOffload, PortalsWaitVanishesGmWaitPersists) {
 
 TEST(PwwOffload, PortalsWorkInflatedGmWorkExact) {
   const auto gm =
-      runPwwPoint(backend::gmMachine(), quickParams(100_KB, 500'000));
+      runPoint(backend::gmMachine(), quickParams(100_KB, 500'000));
   const auto portals =
-      runPwwPoint(backend::portalsMachine(), quickParams(100_KB, 500'000));
+      runPoint(backend::portalsMachine(), quickParams(100_KB, 500'000));
   EXPECT_NEAR(gm.avgWork, gm.dryWork, gm.dryWork * 1e-6);
   EXPECT_GT(portals.avgWork, 1.2 * portals.dryWork);
 }
 
 TEST(PwwOffload, GmPostsCheapPortalsPostsExpensive) {
   const auto gm =
-      runPwwPoint(backend::gmMachine(), quickParams(100_KB, 100'000));
+      runPoint(backend::gmMachine(), quickParams(100_KB, 100'000));
   const auto portals =
-      runPwwPoint(backend::portalsMachine(), quickParams(100_KB, 100'000));
+      runPoint(backend::portalsMachine(), quickParams(100_KB, 100'000));
   EXPECT_LT(gm.avgPostPerOp, 20e-6);
   EXPECT_GT(portals.avgPostPerOp, 100e-6);
 }
@@ -142,8 +142,8 @@ TEST(PwwTestCall, SingleTestDrainsGmWait) {
   auto plain = quickParams(100_KB, 2'000'000);
   auto withTest = plain;
   withTest.testCallAtFraction = 0.1;
-  const auto a = runPwwPoint(backend::gmMachine(), plain);
-  const auto b = runPwwPoint(backend::gmMachine(), withTest);
+  const auto a = runPoint(backend::gmMachine(), plain);
+  const auto b = runPoint(backend::gmMachine(), withTest);
   EXPECT_GT(a.avgWait, 800e-6);
   EXPECT_LT(b.avgWait, 100e-6);
   EXPECT_GT(b.bandwidthBps, 1.1 * a.bandwidthBps);
@@ -154,8 +154,8 @@ TEST(PwwTestCall, TestCallBarelyChangesPortals) {
   auto plain = quickParams(100_KB, 2'000'000);
   auto withTest = plain;
   withTest.testCallAtFraction = 0.1;
-  const auto a = runPwwPoint(backend::portalsMachine(), plain);
-  const auto b = runPwwPoint(backend::portalsMachine(), withTest);
+  const auto a = runPoint(backend::portalsMachine(), plain);
+  const auto b = runPoint(backend::portalsMachine(), withTest);
   EXPECT_NEAR(b.bandwidthBps, a.bandwidthBps, 0.05 * a.bandwidthBps);
 }
 

@@ -70,11 +70,11 @@ TEST(Reps, CanonicalPointIsByteIdenticalToSingleRun) {
   rep.reps = 4;
   rep.seed = 7;
   const auto opts = withFault("drop=0.05,seed=3", rep);
-  const auto run = runPollingPointReps(machine, params, opts);
+  const auto run = runPointReps(machine, params, opts);
   ASSERT_EQ(run.reps.size(), 4u);
   // The canonical rep runs the machine exactly as configured — the rep
   // count must never perturb the reported point.
-  expectSamePolling(run.canonical(), runPollingPoint(machine, params, opts));
+  expectSamePolling(run.canonical(), runPoint(machine, params, opts));
 }
 
 TEST(Reps, PwwCanonicalMatchesSingleRun) {
@@ -83,9 +83,9 @@ TEST(Reps, PwwCanonicalMatchesSingleRun) {
   RepPolicy rep;
   rep.reps = 3;
   const auto opts = withFault("drop=0.04,seed=11", rep);
-  const auto run = runPwwPointReps(machine, params, opts);
+  const auto run = runPointReps(machine, params, opts);
   ASSERT_EQ(run.reps.size(), 3u);
-  const auto single = runPwwPoint(machine, params, opts);
+  const auto single = runPoint(machine, params, opts);
   EXPECT_EQ(run.canonical().availability, single.availability);
   EXPECT_EQ(run.canonical().bandwidthBps, single.bandwidthBps);
   EXPECT_EQ(run.canonical().avgWait, single.avgWait);
@@ -98,7 +98,7 @@ TEST(Reps, LosslessFabricRepsAreIdenticalAndConvergeAtMinReps) {
   opts.rep.adaptive = true;
   opts.rep.minReps = 3;
   opts.rep.maxReps = 10;
-  const auto run = runPollingPointReps(machine, params, opts);
+  const auto run = runPointReps(machine, params, opts);
   // No fault stream is ever sampled, so reseeding is a no-op: every rep
   // is bit-identical and the CI collapses at the first check.
   ASSERT_EQ(run.reps.size(), 3u);
@@ -115,7 +115,7 @@ TEST(Reps, FaultInjectionMakesRepsDiffer) {
   rep.reps = 5;
   rep.seed = 9;
   const auto run =
-      runPollingPointReps(machine, params, withFault("drop=0.08,seed=3", rep));
+      runPointReps(machine, params, withFault("drop=0.08,seed=3", rep));
   ASSERT_EQ(run.reps.size(), 5u);
   bool anyDiffers = false;
   for (const auto& p : run.reps)
@@ -134,8 +134,8 @@ TEST(Reps, AdaptiveRunIsBitReproducible) {
   rep.ciTarget = 1e-9;  // unreachable: exhaust the budget, deterministically
   rep.seed = 21;
   const auto opts = withFault("drop=0.05,seed=3", rep);
-  const auto a = runPollingPointReps(machine, params, opts);
-  const auto b = runPollingPointReps(machine, params, opts);
+  const auto a = runPointReps(machine, params, opts);
+  const auto b = runPointReps(machine, params, opts);
   EXPECT_FALSE(a.converged);
   ASSERT_EQ(a.reps.size(), 6u);
   ASSERT_EQ(b.reps.size(), a.reps.size());
@@ -154,9 +154,9 @@ TEST(Reps, SweepRepsAreJobsIndependent) {
   rep.seed = 5;
   auto opts = withFault("drop=0.06,seed=4", rep);
   opts.jobs = 1;
-  const auto serial = runPollingSweepReps(machine, spec, opts);
+  const auto serial = runSweepReps(machine, spec, opts);
   opts.jobs = 4;
-  const auto parallel = runPollingSweepReps(machine, spec, opts);
+  const auto parallel = runSweepReps(machine, spec, opts);
   ASSERT_EQ(serial.size(), spec.values.size());
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -178,7 +178,7 @@ TEST(Reps, ArchiveStampsCoreConfiguration) {
   auto params = presets::pollingBase(10_KB);
   params.targetDuration = 3e-3;
   params.maxPolls = 2'000;
-  const auto run = runPollingPointReps(machine, params, opts);
+  const auto run = runPointReps(machine, params, opts);
 
   auto archive =
       makeArchive("stamp_test", opts.rep, opts.simJobs, opts.simAffinity);

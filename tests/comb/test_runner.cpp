@@ -6,11 +6,15 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "backend/machine.hpp"
+#include "comb/congestion.hpp"
 #include "comb/presets.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "net/fault.hpp"
 
 namespace comb::bench {
 namespace {
@@ -115,7 +119,7 @@ TEST(Runner, SweepOverridesInterval) {
   base.maxPolls = 2'000;
   const std::vector<std::uint64_t> intervals{1'000, 100'000};
   const auto pts =
-      runPollingSweep(backend::gmMachine(), sweepOver(base, intervals));
+      runSweep(backend::gmMachine(), sweepOver(base, intervals));
   ASSERT_EQ(pts.size(), 2u);
   EXPECT_EQ(pts[0].pollInterval, 1'000u);
   EXPECT_EQ(pts[1].pollInterval, 100'000u);
@@ -127,25 +131,22 @@ TEST(Runner, PwwSweepOverridesInterval) {
   base.reps = 4;
   const std::vector<std::uint64_t> intervals{5'000, 500'000};
   const auto pts =
-      runPwwSweep(backend::portalsMachine(), sweepOver(base, intervals));
+      runSweep(backend::portalsMachine(), sweepOver(base, intervals));
   ASSERT_EQ(pts.size(), 2u);
   EXPECT_EQ(pts[0].workInterval, 5'000u);
   EXPECT_EQ(pts[1].workInterval, 500'000u);
   EXPECT_EQ(pts[1].reps, 3);  // reps minus warm-up
 }
 
-// Every field compared exactly: the parallel executor must be
-// *bit-identical* to the serial path, not merely close.
-void expectSamePoint(const PollingPoint& a, const PollingPoint& b,
-                     std::size_t i) {
-  EXPECT_EQ(a.pollInterval, b.pollInterval) << "point " << i;
-  EXPECT_EQ(a.msgBytes, b.msgBytes) << "point " << i;
-  EXPECT_EQ(a.availability, b.availability) << "point " << i;
-  EXPECT_EQ(a.bandwidthBps, b.bandwidthBps) << "point " << i;
-  EXPECT_EQ(a.dryTime, b.dryTime) << "point " << i;
-  EXPECT_EQ(a.liveTime, b.liveTime) << "point " << i;
-  EXPECT_EQ(a.messagesReceived, b.messagesReceived) << "point " << i;
-  EXPECT_EQ(a.pollsExecuted, b.pollsExecuted) << "point " << i;
+// Whole points compared exactly (fault counters, tails and shard
+// imbalance included): the parallel executor must be *bit-identical* to
+// the serial path, not merely close.
+template <typename Point>
+void expectSamePoints(const std::vector<Point>& a,
+                      const std::vector<Point>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_TRUE(a[i] == b[i]) << "point " << i;
 }
 
 TEST(ParallelSweep, PollingBitIdenticalToSerialOnBothMachines) {
@@ -156,11 +157,9 @@ TEST(ParallelSweep, PollingBitIdenticalToSerialOnBothMachines) {
   for (const auto& machine :
        {backend::gmMachine(), backend::portalsMachine()}) {
     const auto spec = sweepOver(base, intervals);
-    const auto serial = runPollingSweep(machine, spec, withJobs(1));
-    const auto parallel = runPollingSweep(machine, spec, withJobs(4));
-    ASSERT_EQ(serial.size(), parallel.size()) << machine.name;
-    for (std::size_t i = 0; i < serial.size(); ++i)
-      expectSamePoint(serial[i], parallel[i], i);
+    SCOPED_TRACE(machine.name);
+    expectSamePoints(runSweep(machine, spec, withJobs(1)),
+                     runSweep(machine, spec, withJobs(4)));
   }
 }
 
@@ -170,20 +169,8 @@ TEST(ParallelSweep, PwwBitIdenticalToSerial) {
   const std::vector<std::uint64_t> intervals{5'000, 50'000, 500'000,
                                              5'000'000};
   const auto spec = sweepOver(base, intervals);
-  const auto serial =
-      runPwwSweep(backend::gmMachine(), spec, withJobs(1));
-  const auto parallel =
-      runPwwSweep(backend::gmMachine(), spec, withJobs(3));
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].workInterval, parallel[i].workInterval);
-    EXPECT_EQ(serial[i].availability, parallel[i].availability);
-    EXPECT_EQ(serial[i].bandwidthBps, parallel[i].bandwidthBps);
-    EXPECT_EQ(serial[i].avgPost, parallel[i].avgPost);
-    EXPECT_EQ(serial[i].avgWork, parallel[i].avgWork);
-    EXPECT_EQ(serial[i].avgWait, parallel[i].avgWait);
-    EXPECT_EQ(serial[i].dryWork, parallel[i].dryWork);
-  }
+  expectSamePoints(runSweep(backend::gmMachine(), spec, withJobs(1)),
+                   runSweep(backend::gmMachine(), spec, withJobs(3)));
 }
 
 TEST(ParallelSweep, LatencyBitIdenticalToSerial) {
@@ -191,17 +178,8 @@ TEST(ParallelSweep, LatencyBitIdenticalToSerial) {
   SweepSpec<LatencyParams> spec;
   spec.base.reps = 5;
   spec.values = sizes;
-  const auto serial =
-      runLatencySweep(backend::portalsMachine(), spec, withJobs(1));
-  const auto parallel =
-      runLatencySweep(backend::portalsMachine(), spec, withJobs(4));
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].msgBytes, parallel[i].msgBytes);
-    EXPECT_EQ(serial[i].halfRoundTripAvg, parallel[i].halfRoundTripAvg);
-    EXPECT_EQ(serial[i].halfRoundTripMin, parallel[i].halfRoundTripMin);
-    EXPECT_EQ(serial[i].bandwidthBps, parallel[i].bandwidthBps);
-  }
+  expectSamePoints(runSweep(backend::portalsMachine(), spec, withJobs(1)),
+                   runSweep(backend::portalsMachine(), spec, withJobs(4)));
 }
 
 TEST(ParallelSweep, RunSweepParallelPropagatesFirstPointException) {
@@ -227,9 +205,9 @@ TEST(ParallelSweep, JobsGreaterThanPointsWorks) {
   base.targetDuration = 3e-3;
   base.maxPolls = 2'000;
   const std::vector<std::uint64_t> intervals{1'000, 100'000};
-  const auto pts = runPollingSweep(backend::gmMachine(),
-                                   sweepOver(base, intervals),
-                                   withJobs(64));
+  const auto pts = runSweep(backend::gmMachine(),
+                            sweepOver(base, intervals),
+                            withJobs(64));
   ASSERT_EQ(pts.size(), 2u);
   EXPECT_EQ(pts[0].pollInterval, 1'000u);
   EXPECT_EQ(pts[1].pollInterval, 100'000u);
@@ -274,6 +252,138 @@ TEST(Runner, CoreOptionsForwardsExecutionShapeOnly) {
   EXPECT_EQ(core.simJobs, 2);
   EXPECT_FALSE(core.fault.has_value());
   EXPECT_EQ(core.rep.reps, RunOptions{}.rep.reps);
+}
+
+// --- every row of the method table through one typed test ----------------
+
+/// A small sweep per row: its machine, base point and two axis values.
+template <typename Param>
+struct RowCase;
+
+template <>
+struct RowCase<PollingParams> {
+  static constexpr const char* name = "polling";
+  static backend::MachineConfig machine() { return backend::gmMachine(); }
+  static PollingParams base() {
+    auto p = presets::pollingBase(10 * 1024);
+    p.targetDuration = 3e-3;
+    p.maxPolls = 2'000;
+    return p;
+  }
+  static std::vector<std::uint64_t> values() { return {1'000, 100'000}; }
+};
+
+template <>
+struct RowCase<PwwParams> {
+  static constexpr const char* name = "pww";
+  static backend::MachineConfig machine() { return backend::portalsMachine(); }
+  static PwwParams base() {
+    auto p = presets::pwwBase(10 * 1024);
+    p.reps = 4;
+    return p;
+  }
+  static std::vector<std::uint64_t> values() { return {5'000, 500'000}; }
+};
+
+template <>
+struct RowCase<LatencyParams> {
+  static constexpr const char* name = "latency";
+  static backend::MachineConfig machine() { return backend::portalsMachine(); }
+  static LatencyParams base() {
+    LatencyParams p;
+    p.reps = 5;
+    return p;
+  }
+  static std::vector<std::uint64_t> values() { return {1024, 100 * 1024}; }
+};
+
+template <>
+struct RowCase<CongestionParams> {
+  static constexpr const char* name = "congestion";
+  static backend::MachineConfig machine() {
+    auto m = backend::gmMachine();
+    m.fabric.sw.ports = 0;  // one unlimited crossbar
+    return m;
+  }
+  static CongestionParams base() {
+    CongestionParams p;
+    p.pattern = CongestionPattern::Hotspot;
+    p.msgBytes = 16 * 1024;
+    p.messagesPerSender = 2;
+    p.window = 4;
+    return p;
+  }
+  static std::vector<std::uint64_t> values() { return {4, 6}; }
+};
+
+struct RowName {
+  template <typename Param>
+  static std::string GetName(int) {
+    return RowCase<Param>::name;
+  }
+};
+
+template <typename Param>
+class MethodRowTest : public ::testing::Test {
+ protected:
+  using Case = RowCase<Param>;
+  static SweepSpec<Param> spec() {
+    return sweepOver(Case::base(), Case::values());
+  }
+  /// A lossy fabric, so the fault streams (and retransmissions) are part
+  /// of what must be reproduced.
+  static RunOptions lossy(int jobs) {
+    RunOptions opts = withJobs(jobs);
+    opts.fault = net::parseFaultSpec("drop=0.02,seed=5");
+    return opts;
+  }
+};
+
+using Rows =
+    ::testing::Types<PollingParams, PwwParams, LatencyParams, CongestionParams>;
+TYPED_TEST_SUITE(MethodRowTest, Rows, RowName);
+
+TYPED_TEST(MethodRowTest, SweepPointsAreSinglePoints) {
+  const auto machine = TestFixture::Case::machine();
+  const auto spec = TestFixture::spec();
+  const auto sweep = runSweep(machine, spec, TestFixture::lossy(1));
+  ASSERT_EQ(sweep.size(), spec.values.size());
+  for (std::size_t i = 0; i < spec.values.size(); ++i) {
+    TypeParam p = spec.base;
+    p.*Method<TypeParam>::axis = spec.values[i];
+    EXPECT_TRUE(sweep[i] == runPoint(machine, p, TestFixture::lossy(1)))
+        << "point " << i;
+  }
+}
+
+TYPED_TEST(MethodRowTest, SweepIsJobsIndependent) {
+  const auto machine = TestFixture::Case::machine();
+  const auto spec = TestFixture::spec();
+  expectSamePoints(runSweep(machine, spec, TestFixture::lossy(1)),
+                   runSweep(machine, spec, TestFixture::lossy(4)));
+}
+
+TYPED_TEST(MethodRowTest, CanonicalRepsAreTheSweep) {
+  const auto machine = TestFixture::Case::machine();
+  auto opts = TestFixture::lossy(2);
+  opts.rep.reps = 3;
+  const auto spec = TestFixture::spec();
+  std::vector<PointOf<TypeParam>> canonical;
+  for (const auto& run : runSweepReps(machine, spec, opts)) {
+    ASSERT_EQ(run.reps.size(), 3u);
+    canonical.push_back(run.canonical());
+  }
+  expectSamePoints(canonical, runSweep(machine, spec, TestFixture::lossy(1)));
+}
+
+TYPED_TEST(MethodRowTest, LosslessRepsAreIdentical) {
+  RunOptions opts;
+  opts.rep.reps = 3;
+  const auto run = runPointReps(TestFixture::Case::machine(),
+                                TestFixture::Case::base(), opts);
+  ASSERT_EQ(run.reps.size(), 3u);
+  for (const auto& rep : run.reps) EXPECT_TRUE(rep == run.canonical());
+  EXPECT_EQ(run.bandwidthCi.halfWidth(), 0.0);
 }
 
 }  // namespace

@@ -175,9 +175,9 @@ TEST(TailObservability, PollingPointTailsShardInvariant) {
   auto params = presets::pollingBase(100 * 1024);
   params.targetDuration = 3e-3;
   params.maxPolls = 5'000;
-  const auto serial = runPollingPoint(backend::gmMachine(), params);
+  const auto serial = runPoint(backend::gmMachine(), params);
   const auto sharded =
-      runPollingPoint(backend::gmMachine(), params, simJobs(2));
+      runPoint(backend::gmMachine(), params, simJobs(2));
   EXPECT_GT(serial.sendTail.count, 0u);
   EXPECT_GT(serial.recvTail.count, 0u);
   expectSameTail(serial.sendTail, sharded.sendTail);

@@ -10,11 +10,11 @@ namespace comb::host {
 namespace {
 
 using namespace comb::units;
-using sim::Simulator;
+using sim::ShardContext;
 using sim::Task;
 
 TEST(Cpu, ComputeTakesExactlyItsTimeWhenUndisturbed) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   Time done = -1;
   auto p = [&]() -> Task<void> {
@@ -29,7 +29,7 @@ TEST(Cpu, ComputeTakesExactlyItsTimeWhenUndisturbed) {
 }
 
 TEST(Cpu, ZeroComputeCompletesAtSameTime) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   Time done = -1;
   auto p = [&]() -> Task<void> {
@@ -43,7 +43,7 @@ TEST(Cpu, ZeroComputeCompletesAtSameTime) {
 }
 
 TEST(Cpu, InterruptExtendsRunningCompute) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   Time done = -1;
   auto p = [&]() -> Task<void> {
@@ -60,7 +60,7 @@ TEST(Cpu, InterruptExtendsRunningCompute) {
 }
 
 TEST(Cpu, BackToBackInterruptsQueueFifo) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   std::vector<int> handled;
   Time done = -1;
@@ -81,7 +81,7 @@ TEST(Cpu, BackToBackInterruptsQueueFifo) {
 }
 
 TEST(Cpu, InterruptDuringIsrExtendsBusyPeriod) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   Time done = -1;
   auto p = [&]() -> Task<void> {
@@ -99,7 +99,7 @@ TEST(Cpu, InterruptDuringIsrExtendsBusyPeriod) {
 }
 
 TEST(Cpu, ComputeStartedDuringIsrWaits) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   Time done = -1;
   sim.schedule(0_ms, [&] { cpu.raiseInterrupt(5_ms); });
@@ -115,7 +115,7 @@ TEST(Cpu, ComputeStartedDuringIsrWaits) {
 }
 
 TEST(Cpu, HandlerRunsAtServiceCompletion) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   Time handledAt = -1;
   sim.schedule(1_ms, [&] {
@@ -126,7 +126,7 @@ TEST(Cpu, HandlerRunsAtServiceCompletion) {
 }
 
 TEST(Cpu, InterruptWorkAwaitable) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   Time done = -1;
   auto p = [&]() -> Task<void> {
@@ -141,7 +141,7 @@ TEST(Cpu, InterruptWorkAwaitable) {
 }
 
 TEST(Cpu, SequentialComputesFifo) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   std::vector<Time> doneTimes;
   auto p = [&](Time dur) -> Task<void> {
@@ -158,7 +158,7 @@ TEST(Cpu, SequentialComputesFifo) {
 }
 
 TEST(Cpu, ManyInterruptsAccountingIdentity) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   Time done = -1;
   auto p = [&]() -> Task<void> {
@@ -180,7 +180,7 @@ TEST(Cpu, ManyInterruptsAccountingIdentity) {
 TEST(Cpu, AvailabilityRatioMatchesStolenFraction) {
   // The COMB availability identity in miniature: work that takes T dry
   // takes T / (1 - stolenFraction) with a periodic interrupt load.
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   Time start = -1, done = -1;
   auto p = [&]() -> Task<void> {
@@ -199,7 +199,7 @@ TEST(Cpu, AvailabilityRatioMatchesStolenFraction) {
 }
 
 TEST(Cpu, UserTimeQueryMidJob) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   auto p = [&]() -> Task<void> { co_await cpu.compute(10_ms); };
   sim.spawn(p(), "p");
@@ -210,7 +210,7 @@ TEST(Cpu, UserTimeQueryMidJob) {
 }
 
 TEST(Cpu, IsrTimeQueryMidService) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   sim.schedule(1_ms, [&] { cpu.raiseInterrupt(4_ms); });
   Time midIsr = -1;
@@ -221,7 +221,7 @@ TEST(Cpu, IsrTimeQueryMidService) {
 }
 
 TEST(Cpu, BusyWithUserFlag) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "n0");
   EXPECT_FALSE(cpu.busyWithUser());
   auto p = [&]() -> Task<void> { co_await cpu.compute(2_ms); };

@@ -12,7 +12,7 @@ namespace comb::host {
 namespace {
 
 using namespace comb::units;
-using sim::Simulator;
+using sim::ShardContext;
 using sim::Task;
 
 NoiseSpec demoSpec() {
@@ -125,7 +125,7 @@ TEST(NoiseModel, DisabledModelIsTransparent) {
 
 /// Run a fixed compute workload under noise and return the completion time.
 Time noisyComputeCompletion(const NoiseSpec& spec, const char* cpuName) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, cpuName, 0, spec);
   Time done = -1;
   auto p = [&]() -> Task<void> {
@@ -162,7 +162,7 @@ TEST(CpuNoise, StrictlyPeriodicNoiseRunsToCompletion) {
 }
 
 TEST(CpuNoise, AccountingSplitsUserAndNoise) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "cpu0.0", 0, demoSpec());
   auto p = [&]() -> Task<void> { co_await cpu.compute(2_ms); };
   sim.spawn(p(), "p");
@@ -175,7 +175,7 @@ TEST(CpuNoise, AccountingSplitsUserAndNoise) {
 }
 
 TEST(CpuNoise, IdleMachineQuiescesWithInjectorAttached) {
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "cpu0.0", 0, demoSpec());
   auto p = [&]() -> Task<void> { co_await sim.delay(1_ms); };
   sim.spawn(p(), "p");
@@ -187,7 +187,7 @@ TEST(CpuNoise, IdleMachineQuiescesWithInjectorAttached) {
 TEST(CpuNoise, CoalescingDefersFirstIsrOfBatch) {
   NoiseSpec spec;  // coalescing only, no daemons
   spec.coalesce = 5_us;
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "cpu0.0", 0, spec);
   std::vector<Time> fired;
   sim.schedule(0.0, [&] {
@@ -206,7 +206,7 @@ TEST(CpuNoise, IsrPreemptsDaemonWindowInteraction) {
   // An ISR raised while a daemon window holds the CPU runs on schedule;
   // the user job resumes only after both are over.
   const NoiseSpec spec = demoSpec();
-  Simulator sim;
+  ShardContext sim;
   Cpu cpu(sim, "cpu0.0", 0, spec);
   Time done = -1;
   auto p = [&]() -> Task<void> {

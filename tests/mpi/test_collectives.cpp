@@ -1,4 +1,4 @@
-// Collective operations over both transports and several node counts.
+// Collective operations over every stack row and several node counts.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -8,6 +8,7 @@
 #include "backend/sim_cluster.hpp"
 #include "common/units.hpp"
 #include "mpi/mpi.hpp"
+#include "mpi/stack_params.hpp"
 
 namespace comb::backend {
 namespace {
@@ -24,8 +25,7 @@ struct Param {
 class CollectivesTest : public ::testing::TestWithParam<Param> {
  protected:
   MachineConfig config() const {
-    return GetParam().kind == TransportKind::Gm ? gmMachine()
-                                                : portalsMachine();
+    return stackMachine(GetParam().kind);
   }
   int nodes() const { return GetParam().nodes; }
 };
@@ -226,11 +226,12 @@ TEST_P(CollectivesTest, CommDupIsolatesTraffic) {
 
 INSTANTIATE_TEST_SUITE_P(
     TransportsAndSizes, CollectivesTest,
-    ::testing::Values(Param{TransportKind::Gm, 2}, Param{TransportKind::Gm, 4},
-                      Param{TransportKind::Gm, 7},
-                      Param{TransportKind::Portals, 2},
-                      Param{TransportKind::Portals, 4},
-                      Param{TransportKind::Portals, 7}),
+    ::testing::ValuesIn([] {
+      std::vector<Param> params;
+      for (const TransportKind kind : stackKinds())
+        for (const int nodes : {2, 4, 7}) params.push_back({kind, nodes});
+      return params;
+    }()),
     [](const auto& suiteInfo) {
       return std::string(transportKindName(suiteInfo.param.kind)) + "_n" +
              std::to_string(suiteInfo.param.nodes);

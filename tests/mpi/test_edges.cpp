@@ -1,4 +1,4 @@
-// Edge cases across the MPI layer and both protocol state machines:
+// Edge cases across the MPI layer and every stack's protocol state machine:
 // waitany/sendrecv, cancel racing a rendezvous, crossing traffic on many
 // nodes, kernel unexpected-buffer accounting.
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include "backend/sim_cluster.hpp"
 #include "common/units.hpp"
 #include "mpi/mpi.hpp"
+#include "mpi/stack_params.hpp"
 
 namespace comb::backend {
 namespace {
@@ -21,7 +22,7 @@ using sim::Task;
 class EdgeTest : public ::testing::TestWithParam<TransportKind> {
  protected:
   MachineConfig config() const {
-    return GetParam() == TransportKind::Gm ? gmMachine() : portalsMachine();
+    return stackMachine(GetParam());
   }
 };
 
@@ -223,8 +224,7 @@ TEST_P(EdgeTest, InterleavedTagsManyRequests) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, EdgeTest,
-                         ::testing::Values(TransportKind::Gm,
-                                           TransportKind::Portals),
+                         ::testing::ValuesIn(stackKinds()),
                          [](const auto& suiteInfo) {
                            return std::string(transportKindName(suiteInfo.param));
                          });

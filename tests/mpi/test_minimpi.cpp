@@ -1,6 +1,6 @@
-// End-to-end MiniMPI tests, parameterized over both transport models.
-// Every semantic here must hold identically for GM and Portals — the
-// transports differ in timing and offload, never in MPI semantics.
+// End-to-end MiniMPI tests, parameterized over every stack row. Every
+// semantic here must hold identically on every stack — the transports
+// differ in timing and offload, never in MPI semantics.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +11,7 @@
 #include "backend/sim_cluster.hpp"
 #include "common/units.hpp"
 #include "mpi/mpi.hpp"
+#include "mpi/stack_params.hpp"
 
 namespace comb::backend {
 namespace {
@@ -32,7 +33,7 @@ std::vector<std::byte> patternBytes(std::size_t n, std::uint8_t seed) {
 class MiniMpiTest : public ::testing::TestWithParam<TransportKind> {
  protected:
   MachineConfig config() const {
-    return GetParam() == TransportKind::Gm ? gmMachine() : portalsMachine();
+    return stackMachine(GetParam());
   }
 };
 
@@ -396,8 +397,7 @@ TEST_P(MiniMpiTest, StatsCount) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, MiniMpiTest,
-                         ::testing::Values(TransportKind::Gm,
-                                           TransportKind::Portals),
+                         ::testing::ValuesIn(stackKinds()),
                          [](const auto& paramInfo) {
                            return std::string(
                                transportKindName(paramInfo.param));

@@ -12,7 +12,7 @@ namespace comb::net {
 namespace {
 
 using namespace comb::units;
-using sim::Simulator;
+using sim::ShardContext;
 
 FabricConfig cfg2() {
   FabricConfig cfg;
@@ -24,7 +24,7 @@ FabricConfig cfg2() {
 }
 
 struct TwoNodeFixture {
-  Simulator sim;
+  ShardContext sim;
   Fabric fabric{sim, cfg2()};
   std::vector<Packet> at0, at1;
   NodeId n0, n1;
@@ -100,7 +100,7 @@ TEST(Fabric, BadNodeIdsRejected) {
 }
 
 TEST(Fabric, ManyNodesStarTopology) {
-  Simulator sim;
+  ShardContext sim;
   Fabric fabric(sim, cfg2());
   std::vector<int> hits(4, 0);
   for (int i = 0; i < 4; ++i)
@@ -120,7 +120,7 @@ TEST(Fabric, SwitchPortLimitEnforced) {
   // (its uplink) AND one output port (its downlink), so 4 switch ports
   // host exactly 2 nodes. The old code only counted outputs and would
   // have accepted 4.
-  Simulator sim;
+  ShardContext sim;
   FabricConfig cfg = cfg2();
   cfg.sw.ports = 4;
   Fabric fabric(sim, cfg);
@@ -133,7 +133,7 @@ TEST(Fabric, SwitchPortLimitEnforced) {
 
 TEST(Fabric, OutputContentionSerializes) {
   // Two senders to the same destination share the destination downlink.
-  Simulator sim;
+  ShardContext sim;
   Fabric fabric(sim, cfg2());
   std::vector<Time> arrivals;
   const NodeId sink =

@@ -14,7 +14,7 @@ namespace comb::net {
 namespace {
 
 using namespace comb::units;
-using sim::Simulator;
+using sim::ShardContext;
 
 Packet mkPacket(std::uint64_t seq, Bytes wire = 1000) {
   Packet p;
@@ -69,7 +69,7 @@ TEST(FaultSpec, RejectsZeroBurstHoweverConstructed) {
   spec.burstLen = -3;
   EXPECT_THROW(validateFaultSpec(spec), ConfigError);
 
-  Simulator sim;
+  ShardContext sim;
   LinkConfig cfg;
   cfg.rate = 100e6;
   cfg.fault.dropProb = 0.1;
@@ -93,7 +93,7 @@ std::vector<std::uint64_t> survivors(const FaultSpec& fault,
                                      const std::string& name, int count,
                                      std::uint64_t* dropped = nullptr,
                                      std::uint64_t* corrupted = nullptr) {
-  Simulator sim;
+  ShardContext sim;
   LinkConfig cfg;
   cfg.rate = 100e6;
   cfg.latency = 1e-6;
@@ -146,7 +146,7 @@ TEST(LinkFaults, CorruptionDeliversMarkedPackets) {
 }
 
 TEST(LinkFaults, JitterDelaysButPreservesFifo) {
-  Simulator sim;
+  ShardContext sim;
   LinkConfig cfg;
   cfg.rate = 100e6;
   cfg.latency = 1e-6;

@@ -11,7 +11,7 @@ namespace comb::net {
 namespace {
 
 using namespace comb::units;
-using sim::Simulator;
+using sim::ShardContext;
 
 Packet mkPacket(Bytes wire, NodeId src = 0, NodeId dst = 1) {
   Packet p;
@@ -22,7 +22,7 @@ Packet mkPacket(Bytes wire, NodeId src = 0, NodeId dst = 1) {
 }
 
 TEST(Link, ArrivalTimeIsSerializationPlusLatency) {
-  Simulator sim;
+  ShardContext sim;
   Link link(sim, {.rate = 100e6, .latency = 2_us}, "l");
   std::vector<Time> arrivals;
   link.setSink([&](Packet) { arrivals.push_back(sim.now()); });
@@ -35,7 +35,7 @@ TEST(Link, ArrivalTimeIsSerializationPlusLatency) {
 }
 
 TEST(Link, BackToBackPacketsSerializeFifo) {
-  Simulator sim;
+  ShardContext sim;
   Link link(sim, {.rate = 100e6, .latency = 0.0}, "l");
   std::vector<Time> arrivals;
   link.setSink([&](Packet) { arrivals.push_back(sim.now()); });
@@ -48,7 +48,7 @@ TEST(Link, BackToBackPacketsSerializeFifo) {
 }
 
 TEST(Link, IdleGapRestartsImmediately) {
-  Simulator sim;
+  ShardContext sim;
   Link link(sim, {.rate = 1e6, .latency = 0.0}, "l");
   std::vector<Time> arrivals;
   link.setSink([&](Packet) { arrivals.push_back(sim.now()); });
@@ -61,7 +61,7 @@ TEST(Link, IdleGapRestartsImmediately) {
 }
 
 TEST(Link, StatsAccumulate) {
-  Simulator sim;
+  ShardContext sim;
   Link link(sim, {.rate = 1e6, .latency = 1_us}, "l");
   link.setSink([](Packet) {});
   link.send(mkPacket(300));
@@ -73,7 +73,7 @@ TEST(Link, StatsAccumulate) {
 }
 
 TEST(Link, IdleNowReflectsOccupancy) {
-  Simulator sim;
+  ShardContext sim;
   Link link(sim, {.rate = 1e6, .latency = 0.0}, "l");
   link.setSink([](Packet) {});
   EXPECT_TRUE(link.idleNow());
@@ -85,7 +85,7 @@ TEST(Link, IdleNowReflectsOccupancy) {
 }
 
 TEST(Link, SaturatedThroughputMatchesRate) {
-  Simulator sim;
+  ShardContext sim;
   Link link(sim, {.rate = 50e6, .latency = 1_us}, "l");
   Bytes received = 0;
   link.setSink([&](Packet p) { received += p.wireBytes; });
@@ -100,7 +100,7 @@ TEST(Link, SaturatedThroughputMatchesRate) {
 }
 
 TEST(Link, ZeroByteControlPacketTakesOnlyLatency) {
-  Simulator sim;
+  ShardContext sim;
   Link link(sim, {.rate = 1e6, .latency = 3_us}, "l");
   Time arrival = -1;
   link.setSink([&](Packet) { arrival = sim.now(); });
@@ -110,7 +110,7 @@ TEST(Link, ZeroByteControlPacketTakesOnlyLatency) {
 }
 
 TEST(Link, InvalidConfigRejected) {
-  Simulator sim;
+  ShardContext sim;
   EXPECT_THROW(Link(sim, {.rate = 0.0, .latency = 0.0}, "bad"), ConfigError);
   EXPECT_THROW(Link(sim, {.rate = 1e6, .latency = -1.0}, "bad"), ConfigError);
 }

@@ -13,7 +13,7 @@ namespace comb::net {
 namespace {
 
 using namespace comb::units;
-using sim::Simulator;
+using sim::ShardContext;
 
 Packet mkPacket(NodeId src, NodeId dst, Bytes wire, std::uint64_t seq) {
   Packet p;
@@ -25,7 +25,7 @@ Packet mkPacket(NodeId src, NodeId dst, Bytes wire, std::uint64_t seq) {
 }
 
 struct SwitchFixture {
-  Simulator sim;
+  ShardContext sim;
   LinkConfig linkCfg{.rate = 100e6, .latency = 1_us};
   std::unique_ptr<Switch> sw;
   std::vector<std::unique_ptr<Link>> links;
@@ -48,7 +48,7 @@ struct SwitchFixture {
 };
 
 TEST(Switch, PortBudgetCountsInputsAndOutputs) {
-  Simulator sim;
+  ShardContext sim;
   SwitchConfig cfg;
   cfg.ports = 3;
   Switch sw(sim, cfg, "sw");
@@ -68,7 +68,7 @@ TEST(Switch, PortBudgetCountsInputsAndOutputs) {
 }
 
 TEST(Switch, ZeroPortsMeansUnlimited) {
-  Simulator sim;
+  ShardContext sim;
   SwitchConfig cfg;
   cfg.ports = 0;
   Switch sw(sim, cfg, "sw");
@@ -110,7 +110,7 @@ TEST(Switch, UnboundedPathDelivers) {
 // time: a packet crossing a star costs its uplink and downlink arrivals
 // only, and lands exactly where a separate routing event would put it.
 TEST(Switch, IdealizedStarCostsTwoEventsPerPacket) {
-  Simulator sim;
+  ShardContext sim;
   FabricConfig cfg;
   cfg.link.rate = 100e6;
   cfg.link.latency = 1_us;
@@ -130,7 +130,7 @@ TEST(Switch, IdealizedStarCostsTwoEventsPerPacket) {
 }
 
 TEST(Switch, ConvergingInputsAtOneInstantKeepFifoOrder) {
-  Simulator sim;
+  ShardContext sim;
   FabricConfig cfg;
   cfg.link.rate = 100e6;
   cfg.link.latency = 1_us;
@@ -294,7 +294,7 @@ TEST(Switch, FifoArbitrationKeepsArrivalOrder) {
 }
 
 TEST(Switch, SetRouteValidatesOutputPort) {
-  Simulator sim;
+  ShardContext sim;
   Switch sw(sim, {}, "sw");
   EXPECT_THROW(sw.setRoute(0, 0), ConfigError);   // no outputs yet
   EXPECT_THROW(sw.setRoute(-1, 0), ConfigError);  // bad node id

@@ -12,7 +12,7 @@ namespace comb::net {
 namespace {
 
 using namespace comb::units;
-using sim::Simulator;
+using sim::ShardContext;
 
 FabricConfig fabricCfg(TopologyConfig topo, int switchPorts) {
   FabricConfig cfg;
@@ -27,7 +27,7 @@ FabricConfig fabricCfg(TopologyConfig topo, int switchPorts) {
 /// Attach `n` recording nodes and run the all-pairs pattern; every node
 /// must see exactly n-1 packets and no switch may drop for lack of a
 /// route — the strongest wiring check there is.
-void allPairsCheck(Fabric& fabric, Simulator& sim, int n,
+void allPairsCheck(Fabric& fabric, ShardContext& sim, int n,
                    std::vector<int>& hits) {
   for (NodeId s = 0; s < n; ++s)
     for (NodeId d = 0; d < n; ++d)
@@ -41,7 +41,7 @@ void allPairsCheck(Fabric& fabric, Simulator& sim, int n,
 }
 
 TEST(Topology, FatTreeAllPairsDelivery) {
-  Simulator sim;
+  ShardContext sim;
   TopologyConfig topo;
   topo.kind = TopologyKind::FatTree;
   topo.nodesPerSwitch = 2;
@@ -62,7 +62,7 @@ TEST(Topology, FatTreeCrossLeafPathIsThreeSwitches) {
   // trunk, leaf, down. Wire size 256+64=320B -> 3.2us serialization per
   // hop at 100 MB/s; 4 links (up, leaf->spine, spine->leaf, down) and 3
   // switch traversals.
-  Simulator sim;
+  ShardContext sim;
   TopologyConfig topo;
   topo.kind = TopologyKind::FatTree;
   topo.nodesPerSwitch = 2;
@@ -78,7 +78,7 @@ TEST(Topology, FatTreeCrossLeafPathIsThreeSwitches) {
 }
 
 TEST(Topology, DragonflyAllPairsDelivery) {
-  Simulator sim;
+  ShardContext sim;
   TopologyConfig topo;
   topo.kind = TopologyKind::Dragonfly;
   topo.nodesPerSwitch = 2;
@@ -95,7 +95,7 @@ TEST(Topology, DragonflyAllPairsDelivery) {
 }
 
 TEST(Topology, DragonflyCapacityEnforced) {
-  Simulator sim;
+  ShardContext sim;
   TopologyConfig topo;
   topo.kind = TopologyKind::Dragonfly;
   topo.nodesPerSwitch = 1;
@@ -109,7 +109,7 @@ TEST(Topology, DragonflyCapacityEnforced) {
 }
 
 TEST(Topology, LargerDragonflyAllPairs) {
-  Simulator sim;
+  ShardContext sim;
   TopologyConfig topo;
   topo.kind = TopologyKind::Dragonfly;
   topo.nodesPerSwitch = 2;
@@ -168,7 +168,7 @@ TEST(Topology, OversubscriptionRatios) {
 }
 
 TEST(Topology, TrunkRateScaleAppliedToTrunks) {
-  Simulator sim;
+  ShardContext sim;
   TopologyConfig topo;
   topo.kind = TopologyKind::FatTree;
   topo.nodesPerSwitch = 2;
@@ -184,7 +184,7 @@ TEST(Topology, TrunkRateScaleAppliedToTrunks) {
 TEST(Topology, SingleSwitchMatchesLegacyFabric) {
   // kind=single must behave exactly like the historical one-switch star
   // (same counters, same capacity rule).
-  Simulator sim;
+  ShardContext sim;
   TopologyConfig topo;  // default: single
   Fabric fabric(sim, fabricCfg(topo, 8));
   EXPECT_EQ(fabric.capacityNodes(), 4);

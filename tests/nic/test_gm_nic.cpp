@@ -17,7 +17,7 @@ using transport::WireKind;
 using transport::WirePayload;
 
 struct Fixture {
-  sim::Simulator sim;
+  sim::ShardContext sim;
   net::Fabric fabric;
   GmNic nic0;
   GmNic nic1;

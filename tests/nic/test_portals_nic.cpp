@@ -19,7 +19,7 @@ using transport::WireKind;
 using transport::WirePayload;
 
 struct Fixture {
-  sim::Simulator sim;
+  sim::ShardContext sim;
   net::Fabric fabric;
   host::Cpu cpu0{sim, "cpu0"};
   host::Cpu cpu1{sim, "cpu1"};

@@ -39,7 +39,7 @@ net::FabricConfig fabricConfig(const std::string& fault) {
 
 // Node 0 owns the link under test; node 1 only collects what reaches it.
 struct Fixture {
-  sim::Simulator sim;
+  sim::ShardContext sim;
   net::Fabric fabric;
   std::vector<net::Packet> at1;
   net::NodeId n0;

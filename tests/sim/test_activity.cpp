@@ -11,7 +11,7 @@ namespace {
 using namespace comb::units;
 
 TEST(ActivitySignal, VersionAdvancesOnSignal) {
-  Simulator sim;
+  ShardContext sim;
   ActivitySignal sig(sim);
   EXPECT_EQ(sig.version(), 0u);
   sig.signal();
@@ -20,7 +20,7 @@ TEST(ActivitySignal, VersionAdvancesOnSignal) {
 }
 
 TEST(ActivitySignal, WaiterWakesOnSignal) {
-  Simulator sim;
+  ShardContext sim;
   ActivitySignal sig(sim);
   Time wokeAt = -1;
   auto waiter = [&]() -> Task<void> {
@@ -36,7 +36,7 @@ TEST(ActivitySignal, WaiterWakesOnSignal) {
 TEST(ActivitySignal, NoLostWakeup) {
   // The signal fires BEFORE the waiter awaits: the stale version makes
   // the wait complete immediately instead of hanging.
-  Simulator sim;
+  ShardContext sim;
   ActivitySignal sig(sim);
   bool done = false;
   auto waiter = [&]() -> Task<void> {
@@ -54,7 +54,7 @@ TEST(ActivitySignal, NoLostWakeup) {
 }
 
 TEST(ActivitySignal, MultipleWaitersAllWake) {
-  Simulator sim;
+  ShardContext sim;
   ActivitySignal sig(sim);
   int woke = 0;
   auto waiter = [&]() -> Task<void> {
@@ -69,7 +69,7 @@ TEST(ActivitySignal, MultipleWaitersAllWake) {
 }
 
 TEST(ActivitySignal, RepeatedWaitCycles) {
-  Simulator sim;
+  ShardContext sim;
   ActivitySignal sig(sim);
   int cycles = 0;
   auto waiter = [&]() -> Task<void> {

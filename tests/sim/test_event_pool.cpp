@@ -9,7 +9,7 @@
 #include <memory>
 #include <vector>
 
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "sim/task.hpp"
 
 namespace comb::sim {
@@ -124,7 +124,7 @@ TEST(EventPool, DroppingASimulatorReleasesUnstartedSpawns) {
   // and with it the coroutine frame (and everything the frame holds).
   auto sentinel = std::make_shared<int>(7);
   {
-    Simulator sim;
+    ShardContext sim;
     sim.spawn(holdSentinel(sentinel), "never-run");
     EXPECT_GT(sentinel.use_count(), 1);
   }
@@ -133,7 +133,7 @@ TEST(EventPool, DroppingASimulatorReleasesUnstartedSpawns) {
 
 TEST(EventPool, SpawnedProcessStillRunsNormally) {
   auto sentinel = std::make_shared<int>(7);
-  Simulator sim;
+  ShardContext sim;
   sim.spawn(holdSentinel(sentinel), "runs");
   sim.run();
   EXPECT_EQ(sentinel.use_count(), 1);

@@ -1,4 +1,4 @@
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,13 +13,13 @@ namespace {
 using namespace comb::units;
 
 TEST(Simulator, StartsAtZero) {
-  Simulator sim;
+  ShardContext sim;
   EXPECT_DOUBLE_EQ(sim.now(), 0.0);
   EXPECT_EQ(sim.eventsExecuted(), 0u);
 }
 
 TEST(Simulator, EventsRunInTimeOrder) {
-  Simulator sim;
+  ShardContext sim;
   std::vector<int> order;
   sim.schedule(3_ms, [&] { order.push_back(3); });
   sim.schedule(1_ms, [&] { order.push_back(1); });
@@ -30,7 +30,7 @@ TEST(Simulator, EventsRunInTimeOrder) {
 }
 
 TEST(Simulator, SameTimestampIsFifo) {
-  Simulator sim;
+  ShardContext sim;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) sim.schedule(1_ms, [&, i] { order.push_back(i); });
   sim.run();
@@ -38,7 +38,7 @@ TEST(Simulator, SameTimestampIsFifo) {
 }
 
 TEST(Simulator, EventsCanScheduleEvents) {
-  Simulator sim;
+  ShardContext sim;
   int fired = 0;
   sim.schedule(1_ms, [&] {
     ++fired;
@@ -50,7 +50,7 @@ TEST(Simulator, EventsCanScheduleEvents) {
 }
 
 TEST(Simulator, RunUntilStopsAtBoundary) {
-  Simulator sim;
+  ShardContext sim;
   int fired = 0;
   sim.schedule(1_ms, [&] { ++fired; });
   sim.schedule(5_ms, [&] { ++fired; });
@@ -63,7 +63,7 @@ TEST(Simulator, RunUntilStopsAtBoundary) {
 }
 
 TEST(Simulator, EventAtExactlyUntilRuns) {
-  Simulator sim;
+  ShardContext sim;
   int fired = 0;
   sim.schedule(2_ms, [&] { ++fired; });
   sim.run(2_ms);
@@ -71,7 +71,7 @@ TEST(Simulator, EventAtExactlyUntilRuns) {
 }
 
 TEST(Simulator, CancelledEventDoesNotRun) {
-  Simulator sim;
+  ShardContext sim;
   int fired = 0;
   auto h = sim.schedule(1_ms, [&] { ++fired; });
   EXPECT_TRUE(h.pending());
@@ -82,7 +82,7 @@ TEST(Simulator, CancelledEventDoesNotRun) {
 }
 
 TEST(Simulator, CancelIsIdempotentAndSafeAfterRun) {
-  Simulator sim;
+  ShardContext sim;
   auto h = sim.schedule(1_ms, [] {});
   sim.run();
   EXPECT_FALSE(h.pending());
@@ -96,7 +96,7 @@ TEST(Simulator, DefaultEventHandleInert) {
 }
 
 TEST(Simulator, StepExecutesOneEvent) {
-  Simulator sim;
+  ShardContext sim;
   int fired = 0;
   sim.schedule(1_ms, [&] { ++fired; });
   sim.schedule(2_ms, [&] { ++fired; });
@@ -108,7 +108,7 @@ TEST(Simulator, StepExecutesOneEvent) {
 }
 
 TEST(Simulator, SpawnedProcessRuns) {
-  Simulator sim;
+  ShardContext sim;
   int stage = 0;
   auto proc = [&]() -> Task<void> {
     stage = 1;
@@ -126,7 +126,7 @@ TEST(Simulator, SpawnedProcessRuns) {
 }
 
 TEST(Simulator, TwoProcessesInterleaveDeterministically) {
-  Simulator sim;
+  ShardContext sim;
   std::vector<std::pair<char, Time>> log;
   auto proc = [&](char id, Time step) -> Task<void> {
     for (int i = 0; i < 3; ++i) {
@@ -148,7 +148,7 @@ TEST(Simulator, TwoProcessesInterleaveDeterministically) {
 }
 
 TEST(Simulator, ProcessExceptionPropagatesFromRun) {
-  Simulator sim;
+  ShardContext sim;
   auto proc = [&]() -> Task<void> {
     co_await sim.delay(1_ms);
     throw std::runtime_error("boom");
@@ -158,7 +158,7 @@ TEST(Simulator, ProcessExceptionPropagatesFromRun) {
 }
 
 TEST(Simulator, TraceHookObservesEveryEvent) {
-  Simulator sim;
+  ShardContext sim;
   std::vector<Time> times;
   sim.setTrace([&](Time t, std::uint64_t) { times.push_back(t); });
   sim.schedule(1_ms, [] {});
@@ -172,7 +172,7 @@ TEST(Simulator, TraceHookObservesEveryEvent) {
 
 TEST(Simulator, DeterministicEventCounts) {
   auto runOnce = [] {
-    Simulator sim;
+    ShardContext sim;
     auto proc = [&sim](Time step) -> Task<void> {
       for (int i = 0; i < 100; ++i) co_await sim.delay(step);
     };
@@ -188,7 +188,7 @@ TEST(Simulator, DeterministicEventCounts) {
 }
 
 TEST(Simulator, ZeroDelayYieldsBetweenProcesses) {
-  Simulator sim;
+  ShardContext sim;
   std::vector<int> order;
   auto proc = [&](int id) -> Task<void> {
     for (int i = 0; i < 2; ++i) {

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "common/units.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 
 namespace comb::sim {
 namespace {
@@ -15,7 +15,7 @@ namespace {
 using namespace comb::units;
 
 TEST(Task, ValueTaskReturnsThroughAwait) {
-  Simulator sim;
+  ShardContext sim;
   int result = 0;
   auto inner = []() -> Task<int> { co_return 41; };
   auto outer = [&]() -> Task<void> { result = 1 + co_await inner(); };
@@ -25,7 +25,7 @@ TEST(Task, ValueTaskReturnsThroughAwait) {
 }
 
 TEST(Task, ChainedValueTasks) {
-  Simulator sim;
+  ShardContext sim;
   std::string result;
   auto leaf = [](std::string s) -> Task<std::string> { co_return s + "!"; };
   auto mid = [&](std::string s) -> Task<std::string> {
@@ -38,7 +38,7 @@ TEST(Task, ChainedValueTasks) {
 }
 
 TEST(Task, LazyUntilAwaited) {
-  Simulator sim;
+  ShardContext sim;
   bool started = false;
   auto inner = [&]() -> Task<void> {
     started = true;
@@ -58,7 +58,7 @@ TEST(Task, LazyUntilAwaited) {
 }
 
 TEST(Task, SubtaskDelaysPropagateTime) {
-  Simulator sim;
+  ShardContext sim;
   auto inner = [&]() -> Task<int> {
     co_await sim.delay(5_ms);
     co_return 7;
@@ -75,7 +75,7 @@ TEST(Task, SubtaskDelaysPropagateTime) {
 }
 
 TEST(Task, ExceptionPropagatesToAwaiter) {
-  Simulator sim;
+  ShardContext sim;
   bool caught = false;
   auto inner = []() -> Task<int> {
     throw std::runtime_error("inner failed");
@@ -122,7 +122,7 @@ TEST(Task, DestroyWithoutRunningDoesNotLeakOrCrash) {
 }
 
 TEST(Task, DeepChainDoesNotOverflowStack) {
-  Simulator sim;
+  ShardContext sim;
   // 50k-deep symmetric-transfer chain; would crash with naive recursion.
   std::function<Task<int>(int)> rec = [&](int n) -> Task<int> {
     if (n == 0) co_return 0;
@@ -136,7 +136,7 @@ TEST(Task, DeepChainDoesNotOverflowStack) {
 }
 
 TEST(Task, VoidTaskAwaitableMultipleSequential) {
-  Simulator sim;
+  ShardContext sim;
   int count = 0;
   auto once = [&]() -> Task<void> {
     ++count;
@@ -153,7 +153,7 @@ TEST(Task, VoidTaskAwaitableMultipleSequential) {
 }
 
 TEST(Task, MoveOnlyResultType) {
-  Simulator sim;
+  ShardContext sim;
   auto inner = []() -> Task<std::unique_ptr<int>> {
     co_return std::make_unique<int>(9);
   };

@@ -12,7 +12,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "sim/task.hpp"
 
 namespace {
@@ -35,7 +35,7 @@ namespace {
 
 /// Cpu::compute's shape: each step waits once on a fresh trigger that a
 /// later event fires, so waiter storage cannot carry over between waits.
-Task<void> computeLoop(Simulator& sim, std::uint64_t steps,
+Task<void> computeLoop(ShardContext& sim, std::uint64_t steps,
                        std::uint64_t& woken) {
   for (std::uint64_t i = 0; i < steps; ++i) {
     Trigger done(sim);
@@ -46,7 +46,7 @@ Task<void> computeLoop(Simulator& sim, std::uint64_t steps,
 }
 
 TEST(TriggerAlloc, SingleWaiterWaitFireResumeIsAllocationFree) {
-  Simulator sim;
+  ShardContext sim;
   std::uint64_t woken = 0;
   sim.spawn(computeLoop(sim, 2000, woken), "waiter");
 

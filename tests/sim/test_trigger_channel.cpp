@@ -5,7 +5,7 @@
 
 #include "common/units.hpp"
 #include "sim/channel.hpp"
-#include "sim/simulator.hpp"
+#include "sim/shard_context.hpp"
 #include "sim/trigger.hpp"
 
 namespace comb::sim {
@@ -14,7 +14,7 @@ namespace {
 using namespace comb::units;
 
 TEST(Trigger, WaitersResumeOnFire) {
-  Simulator sim;
+  ShardContext sim;
   Trigger t(sim);
   std::vector<int> woke;
   auto waiter = [&](int id) -> Task<void> {
@@ -23,7 +23,7 @@ TEST(Trigger, WaitersResumeOnFire) {
   };
   sim.spawn(waiter(1), "w1");
   sim.spawn(waiter(2), "w2");
-  sim.spawn([](Simulator& s, Trigger& tr) -> Task<void> {
+  sim.spawn([](ShardContext& s, Trigger& tr) -> Task<void> {
     co_await s.delay(2_ms);
     tr.fire();
   }(sim, t), "firer");
@@ -35,7 +35,7 @@ TEST(Trigger, WaitersResumeOnFire) {
 // The first waiter is held inline and later ones spill to a vector; the
 // wake order must still be arrival order, also after a re-arm.
 TEST(Trigger, WaitersWakeInArrivalOrderAcrossReArms) {
-  Simulator sim;
+  ShardContext sim;
   Trigger t(sim);
   std::vector<int> woke;
   auto waiter = [&](int id, Time start) -> Task<void> {
@@ -59,7 +59,7 @@ TEST(Trigger, WaitersWakeInArrivalOrderAcrossReArms) {
 }
 
 TEST(Trigger, WaitAfterFireCompletesImmediately) {
-  Simulator sim;
+  ShardContext sim;
   Trigger t(sim);
   t.fire();
   Time when = -1;
@@ -74,7 +74,7 @@ TEST(Trigger, WaitAfterFireCompletesImmediately) {
 }
 
 TEST(Trigger, FireIsIdempotent) {
-  Simulator sim;
+  ShardContext sim;
   Trigger t(sim);
   t.fire();
   t.fire();
@@ -82,7 +82,7 @@ TEST(Trigger, FireIsIdempotent) {
 }
 
 TEST(Trigger, ResetReArms) {
-  Simulator sim;
+  ShardContext sim;
   Trigger t(sim);
   t.fire();
   t.reset();
@@ -99,7 +99,7 @@ TEST(Trigger, ResetReArms) {
 }
 
 TEST(CountLatch, CompletesAtZero) {
-  Simulator sim;
+  ShardContext sim;
   CountLatch latch(sim, 3);
   bool done = false;
   auto waiter = [&]() -> Task<void> {
@@ -116,7 +116,7 @@ TEST(CountLatch, CompletesAtZero) {
 }
 
 TEST(CountLatch, ZeroExpectedFiresImmediately) {
-  Simulator sim;
+  ShardContext sim;
   CountLatch latch(sim, 0);
   bool done = false;
   auto waiter = [&]() -> Task<void> {
@@ -129,7 +129,7 @@ TEST(CountLatch, ZeroExpectedFiresImmediately) {
 }
 
 TEST(Channel, SendThenRecv) {
-  Simulator sim;
+  ShardContext sim;
   Channel<int> ch(sim);
   ch.send(5);
   int got = 0;
@@ -140,7 +140,7 @@ TEST(Channel, SendThenRecv) {
 }
 
 TEST(Channel, RecvBlocksUntilSend) {
-  Simulator sim;
+  ShardContext sim;
   Channel<std::string> ch(sim);
   std::string got;
   Time when = -1;
@@ -156,7 +156,7 @@ TEST(Channel, RecvBlocksUntilSend) {
 }
 
 TEST(Channel, FifoOrderAcrossValues) {
-  Simulator sim;
+  ShardContext sim;
   Channel<int> ch(sim);
   std::vector<int> got;
   auto rx = [&]() -> Task<void> {
@@ -171,7 +171,7 @@ TEST(Channel, FifoOrderAcrossValues) {
 }
 
 TEST(Channel, TwoReceiversServedFifo) {
-  Simulator sim;
+  ShardContext sim;
   Channel<int> ch(sim);
   std::vector<std::pair<int, int>> got;  // (receiver, value)
   auto rx = [&](int id) -> Task<void> {
@@ -189,7 +189,7 @@ TEST(Channel, TwoReceiversServedFifo) {
 }
 
 TEST(Channel, TryRecvDoesNotStealReservedValues) {
-  Simulator sim;
+  ShardContext sim;
   Channel<int> ch(sim);
   int waiterGot = 0;
   auto rx = [&]() -> Task<void> { waiterGot = co_await ch.recv(); };
@@ -205,7 +205,7 @@ TEST(Channel, TryRecvDoesNotStealReservedValues) {
 }
 
 TEST(Channel, TryRecvTakesFreeValue) {
-  Simulator sim;
+  ShardContext sim;
   Channel<int> ch(sim);
   ch.send(9);
   auto v = ch.tryRecv();
@@ -215,7 +215,7 @@ TEST(Channel, TryRecvTakesFreeValue) {
 }
 
 TEST(Channel, SizeTracksQueue) {
-  Simulator sim;
+  ShardContext sim;
   Channel<int> ch(sim);
   EXPECT_TRUE(ch.empty());
   ch.send(1);

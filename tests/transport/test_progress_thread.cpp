@@ -135,7 +135,7 @@ TEST(ProgressThread, EngineWakeupsLeaveTraceSpans) {
 TEST(ProgressThread, EagerArrivalRacingAReceivePostStillMatches) {
   auto params = bench::presets::pwwBase(10_KB);
   params.workInterval = 52'526;
-  const auto point = bench::runPwwPoint(progressThreadMachine(), params);
+  const auto point = bench::runPoint(progressThreadMachine(), params);
   EXPECT_GT(point.bandwidthBps, 0.0);
   EXPECT_GT(point.availability, 0.0);
 }
@@ -166,9 +166,9 @@ TEST(ProgressThread, ShardedPollingMatchesSerialBitIdentical) {
   params.maxPolls = 5'000;
   bench::RunOptions sharded;
   sharded.simJobs = 2;
-  const auto a = bench::runPollingPoint(progressThreadMachine(), params);
-  const auto b = bench::runPollingPoint(progressThreadMachine(), params,
-                                        sharded);
+  const auto a = bench::runPoint(progressThreadMachine(), params);
+  const auto b = bench::runPoint(progressThreadMachine(), params,
+                                 sharded);
   EXPECT_EQ(a.bandwidthBps, b.bandwidthBps);
   EXPECT_EQ(a.availability, b.availability);
   EXPECT_EQ(a.messagesReceived, b.messagesReceived);

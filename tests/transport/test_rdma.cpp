@@ -160,8 +160,8 @@ TEST(Rdma, ShardedPollingMatchesSerialBitIdentical) {
   params.maxPolls = 5'000;
   bench::RunOptions sharded;
   sharded.simJobs = 2;
-  const auto a = bench::runPollingPoint(rdmaMachine(), params);
-  const auto b = bench::runPollingPoint(rdmaMachine(), params, sharded);
+  const auto a = bench::runPoint(rdmaMachine(), params);
+  const auto b = bench::runPoint(rdmaMachine(), params, sharded);
   EXPECT_EQ(a.bandwidthBps, b.bandwidthBps);
   EXPECT_EQ(a.availability, b.availability);
   EXPECT_EQ(a.messagesReceived, b.messagesReceived);

@@ -13,6 +13,8 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "comb_args.hpp"
 
@@ -20,12 +22,9 @@
 #include "backend/sim_cluster.hpp"
 #include "comb/analysis.hpp"
 #include "comb/archive_build.hpp"
-#include "comb/audit.hpp"
 #include "comb/compare.hpp"
-#include "comb/polling.hpp"
 #include "comb/presets.hpp"
 #include "comb/runner.hpp"
-#include "comb/pww.hpp"
 #include "common/ascii_plot.hpp"
 #include "common/json.hpp"
 #include "common/cli.hpp"
@@ -109,6 +108,37 @@ void addRepFields(std::vector<std::string>& row,
   row.push_back(run.converged ? "yes" : "NO");
 }
 
+/// The rep runs of --sweep (over `sweepXs`) or of the single point, with
+/// their x values (the row's primary axis) in `xs`.
+template <typename Param>
+std::vector<bench::RepRun<bench::PointOf<Param>>> repRunsFrom(
+    const ArgParser& args, const backend::MachineConfig& machine,
+    const Param& params, const bench::RunOptions& opts,
+    std::vector<std::uint64_t> sweepXs, std::vector<std::uint64_t>& xs) {
+  if (args.flag("sweep")) {
+    xs = std::move(sweepXs);
+    return bench::runSweepReps(machine, bench::sweepOver(params, xs), opts);
+  }
+  xs = {params.*bench::Method<Param>::axis};
+  return {bench::runPointReps(machine, params, opts)};
+}
+
+/// --archive DIR: write `runs` as sweep `id` of bench
+/// comb_<method>_<machine>.
+template <typename Point>
+void maybeArchive(const ArgParser& args, const bench::RunOptions& opts,
+                  const std::string& method, const std::string& id,
+                  const backend::MachineConfig& machine,
+                  const std::vector<std::uint64_t>& xs,
+                  const std::vector<bench::RepRun<Point>>& runs) {
+  const std::string dir = args.str("archive");
+  if (dir.empty()) return;
+  auto archive = bench::makeArchive("comb_" + method + "_" + machine.name,
+                                    opts.rep, opts.simJobs, opts.simAffinity);
+  bench::appendSweep(archive, id, machine, xs, runs);
+  std::printf("archive: %s\n", report::writeArchiveFile(archive, dir).c_str());
+}
+
 void printPollingRow(TextTable& t, const bench::RepRun<bench::PollingPoint>& run,
                      bool withReps) {
   const auto& pt = run.canonical();
@@ -138,29 +168,15 @@ int runPolling(const ArgParser& args) {
   TextTable t(std::move(header));
 
   std::vector<std::uint64_t> xs;
-  std::vector<bench::RepRun<bench::PollingPoint>> runs;
-  if (args.flag("sweep")) {
-    xs = bench::presets::pollSweep(2);
-    runs = bench::runPollingSweepReps(machine, bench::sweepOver(params, xs),
-                                      opts);
-  } else {
-    xs = {params.pollInterval};
-    runs = {bench::runPollingPointReps(machine, params, opts)};
-  }
+  const auto runs = repRunsFrom(args, machine, params, opts,
+                                bench::presets::pollSweep(2), xs);
   for (const auto& run : runs) printPollingRow(t, run, withReps);
   std::printf("polling method, machine=%s, size=%s, queue=%d\n\n%s",
               machine.name.c_str(), fmtBytes(params.msgBytes).c_str(),
               params.queueDepth, t.str().c_str());
-  if (const std::string dir = args.str("archive"); !dir.empty()) {
-    auto archive = bench::makeArchive("comb_polling_" + machine.name,
-                                      opts.rep, opts.simJobs,
-                                      opts.simAffinity);
-    bench::appendPollingSweep(archive, "polling/" + machine.name + "/" +
-                                           fmtBytes(params.msgBytes),
-                              machine, xs, runs);
-    std::printf("archive: %s\n",
-                report::writeArchiveFile(archive, dir).c_str());
-  }
+  maybeArchive(args, opts, "polling",
+               "polling/" + machine.name + "/" + fmtBytes(params.msgBytes),
+               machine, xs, runs);
   return 0;
 }
 
@@ -194,29 +210,17 @@ int runPww(const ArgParser& args) {
   TextTable t(std::move(header));
 
   std::vector<std::uint64_t> xs;
-  std::vector<bench::RepRun<bench::PwwPoint>> runs;
-  if (args.flag("sweep")) {
-    xs = bench::presets::workSweep(2);
-    runs = bench::runPwwSweepReps(machine, bench::sweepOver(params, xs), opts);
-  } else {
-    xs = {params.workInterval};
-    runs = {bench::runPwwPointReps(machine, params, opts)};
-  }
+  const auto runs = repRunsFrom(args, machine, params, opts,
+                                bench::presets::workSweep(2), xs);
   for (const auto& run : runs) printPwwRow(t, run, withReps);
   std::printf("post-work-wait method, machine=%s, size=%s, batch=%d%s\n\n%s",
               machine.name.c_str(), fmtBytes(params.msgBytes).c_str(),
               params.batch,
               params.testCallAtFraction >= 0 ? " (+MPI_Test in work)" : "",
               t.str().c_str());
-  if (const std::string dir = args.str("archive"); !dir.empty()) {
-    auto archive = bench::makeArchive("comb_pww_" + machine.name, opts.rep,
-                                      opts.simJobs, opts.simAffinity);
-    bench::appendPwwSweep(archive, "pww/" + machine.name + "/" +
-                                       fmtBytes(params.msgBytes),
-                          machine, xs, runs);
-    std::printf("archive: %s\n",
-                report::writeArchiveFile(archive, dir).c_str());
-  }
+  maybeArchive(args, opts, "pww",
+               "pww/" + machine.name + "/" + fmtBytes(params.msgBytes),
+               machine, xs, runs);
   return 0;
 }
 
@@ -226,7 +230,7 @@ int runLatency(const ArgParser& args) {
   bench::LatencyParams params;
   params.msgBytes = sizeFrom(args);
   opts.jobs = 1;  // one point: no sweep threads to budget shard workers for
-  const auto run = bench::runLatencyPointReps(machine, params, opts);
+  const auto run = bench::runPointReps(machine, params, opts);
   const auto& pt = run.canonical();
   std::printf("ping-pong, machine=%s, size=%s\n", machine.name.c_str(),
               fmtBytes(pt.msgBytes).c_str());
@@ -244,15 +248,8 @@ int runLatency(const ArgParser& args) {
                 run.reps.size(), toMBps(run.bandwidthCi.lo),
                 toMBps(run.bandwidthCi.hi),
                 run.converged ? "" : " (CI target NOT reached)");
-  if (const std::string dir = args.str("archive"); !dir.empty()) {
-    auto archive = bench::makeArchive("comb_latency_" + machine.name,
-                                      opts.rep, opts.simJobs,
-                                      opts.simAffinity);
-    bench::appendLatencySweep(archive, "latency/" + machine.name, machine,
-                              {params.msgBytes}, {run});
-    std::printf("archive: %s\n",
-                report::writeArchiveFile(archive, dir).c_str());
-  }
+  maybeArchive(args, opts, "latency", "latency/" + machine.name, machine,
+               {params.msgBytes}, std::vector{run});
   return 0;
 }
 
@@ -306,23 +303,24 @@ int runAssess(const ArgParser& args) {
   return 0;
 }
 
-sim::Task<void> statsWorkerDriver(backend::SimProc& env,
-                                  bench::PollingParams p,
-                                  bench::PollingPoint& out) {
-  out = co_await bench::pollingWorker(env, p);
+/// Call `f` with the point of the --method (polling | pww) the options
+/// describe.
+template <typename F>
+auto withMethod(const ArgParser& args, F&& f) {
+  const std::string method = args.str("method");
+  if (method == "polling") return f(pollingParamsFrom(args));
+  if (method == "pww") return f(pwwParamsFrom(args));
+  throw ConfigError("--method must be polling or pww, got '" + method + "'");
 }
 
 int runStats(const ArgParser& args) {
-  const auto opts = bench::runOptionsFrom(args);
+  auto opts = bench::runOptionsFrom(args);
   const auto machine = cli::machineFrom(args, opts);
   const auto params = pollingParamsFrom(args);
-  backend::SimCluster cluster(machine, 2, opts.simJobs, /*workers=*/0,
-                              opts.simAffinity);
+  opts.jobs = 1;  // one point: no sweep threads to budget shard workers for
+  auto cluster = bench::clusterFor(machine, params, opts);
   if (args.flag("trace")) cluster.enableTracing();
-  bench::PollingPoint point;
-  cluster.launch(0, statsWorkerDriver(cluster.proc(0), params, point));
-  cluster.launch(1, bench::pollingSupport(cluster.proc(1), params));
-  cluster.run();
+  const auto point = bench::measureOn(cluster, params);
   std::printf("polling workload: bw %.2f MB/s, availability %.3f\n\n",
               toMBps(point.bandwidthBps), point.availability);
   report::renderStats(std::cout, report::snapshot(cluster));
@@ -339,58 +337,36 @@ int runStats(const ArgParser& args) {
 int runTrace(const ArgParser& args) {
   auto opts = bench::runOptionsFrom(args);
   const auto machine = cli::machineFrom(args, opts);
-  const std::string method = args.str("method");
   opts.jobs = 1;  // one point: no sweep threads to budget shard workers for
-  std::unique_ptr<sim::TraceLog> log;
-  report::MachineStats stats;
-  std::string auditErr;
-  double availability = 0;
-  if (method == "pww") {
-    auto run = bench::runPwwPointTraced(machine, pwwParamsFrom(args), opts);
-    auditErr = bench::checkPww(bench::auditPww(*run.trace), run.point);
-    availability = run.point.availability;
-    log = std::move(run.trace);
-    stats = std::move(run.stats);
-  } else if (method == "polling") {
-    auto run =
-        bench::runPollingPointTraced(machine, pollingParamsFrom(args), opts);
-    auditErr = bench::checkPolling(bench::auditPolling(*run.trace), run.point);
-    availability = run.point.availability;
-    log = std::move(run.trace);
-    stats = std::move(run.stats);
-  } else {
-    throw ConfigError("--method must be polling or pww, got '" + method +
-                      "'");
-  }
-
-  std::printf("traced %s point, machine=%s, size=%s: availability %.3f\n",
-              method.c_str(), machine.name.c_str(),
-              fmtBytes(sizeFrom(args)).c_str(),
-              availability);
-  if (const std::string out = args.str("out"); !out.empty()) {
-    std::ofstream f(out);
-    if (!f) throw ConfigError("--out: cannot open '" + out + "' for writing");
-    report::writeChromeTrace(f, *log);
-    std::printf("wrote %zu trace record(s) to %s\n", log->size(),
-                out.c_str());
-  }
-  if (args.flag("summary")) {
-    std::printf("\n");
-    report::writeTraceSummary(std::cout, *log,
-                              static_cast<std::size_t>(args.integer("top")));
-  }
-  if (args.flag("stats-json")) report::writeStatsJson(std::cout, stats);
-  if (!auditErr.empty()) {
-    std::printf("trace audit: FAIL — %s\n", auditErr.c_str());
-    return 1;
-  }
-  std::printf("trace audit: OK — span data reproduces the reported stats\n");
-  return 0;
-}
-
-sim::Task<void> histPwwDriver(backend::SimProc& env, bench::PwwParams p,
-                              bench::PwwPoint& out) {
-  out = co_await bench::pwwWorker(env, p);
+  return withMethod(args, [&](const auto& params) {
+    using Param = std::decay_t<decltype(params)>;
+    const auto run = bench::runPointTraced(machine, params, opts);
+    const auto audit = bench::Method<Param>::audit(*run.trace, run.point);
+    std::printf("traced %s point, machine=%s, size=%s: availability %.3f\n",
+                args.str("method").c_str(), machine.name.c_str(),
+                fmtBytes(sizeFrom(args)).c_str(), run.point.availability);
+    if (const std::string out = args.str("out"); !out.empty()) {
+      std::ofstream f(out);
+      if (!f)
+        throw ConfigError("--out: cannot open '" + out + "' for writing");
+      report::writeChromeTrace(f, *run.trace);
+      std::printf("wrote %zu trace record(s) to %s\n", run.trace->size(),
+                  out.c_str());
+    }
+    if (args.flag("summary")) {
+      std::printf("\n");
+      report::writeTraceSummary(std::cout, *run.trace,
+                                static_cast<std::size_t>(args.integer("top")));
+    }
+    if (args.flag("stats-json")) report::writeStatsJson(std::cout, run.stats);
+    if (!audit.error.empty()) {
+      std::printf("trace audit: FAIL — %s\n", audit.error.c_str());
+      return 1;
+    }
+    std::printf(
+        "trace audit: OK — span data reproduces the reported stats\n");
+    return 0;
+  });
 }
 
 /// One plot series per latency sample: the empirical CDF (default) or the
@@ -426,31 +402,18 @@ void printTailLine(const char* label, const TailSummary& t) {
 /// `comb hist`: run one point and render the per-message latency
 /// distributions as ASCII CDFs (or bucket densities).
 int runHist(const ArgParser& args) {
-  const auto opts = bench::runOptionsFrom(args);
+  auto opts = bench::runOptionsFrom(args);
   const auto machine = cli::machineFrom(args, opts);
-  const std::string method = args.str("method");
-  backend::SimCluster cluster(machine, 2, opts.simJobs, /*workers=*/0,
-                              opts.simAffinity);
-  bench::PollingPoint pollPoint;
-  bench::PwwPoint pwwPoint;
-  if (method == "polling") {
-    const auto params = pollingParamsFrom(args);
-    cluster.launch(0, statsWorkerDriver(cluster.proc(0), params, pollPoint));
-    cluster.launch(1, bench::pollingSupport(cluster.proc(1), params));
-  } else if (method == "pww") {
-    const auto params = pwwParamsFrom(args);
-    cluster.launch(0, histPwwDriver(cluster.proc(0), params, pwwPoint));
-    cluster.launch(1, bench::pwwSupport(cluster.proc(1), params));
-  } else {
-    throw ConfigError("--method must be polling or pww, got '" + method +
-                      "'");
-  }
-  cluster.run();
-  const auto snap = cluster.metricsSnapshot();
+  opts.jobs = 1;  // one point: no sweep threads to budget shard workers for
+  const auto snap = withMethod(args, [&](const auto& params) {
+    auto cluster = bench::clusterFor(machine, params, opts);
+    bench::measureOn(cluster, params);
+    return cluster.metricsSnapshot();
+  });
   const bool density = args.flag("density");
 
   std::vector<PlotSeries> series;
-  std::printf("%s point, machine=%s, size=%s\n", method.c_str(),
+  std::printf("%s point, machine=%s, size=%s\n", args.str("method").c_str(),
               machine.name.c_str(), fmtBytes(sizeFrom(args)).c_str());
   if (const std::string name = args.str("metric"); !name.empty()) {
     const metrics::LatencySample* sample = snap.latency(name);
