@@ -164,9 +164,10 @@ int main(int argc, char** argv) {
       bitIdentical, ""});
 
   FigArchive archive("ext_noise_tail", args);
-  archive.add("noise/gm", backend::gmMachine(), burstsUs, gmReps);
-  archive.add("noise/portals", backend::portalsMachine(), burstsUs,
-              ptlReps);
+  archive.add("noise/gm", backend::gmMachine(), burstsUs, gmReps,
+              "noise_burst_us");
+  archive.add("noise/portals", backend::portalsMachine(), burstsUs, ptlReps,
+              "noise_burst_us");
   archive.write();
 
   fig.addSeries(std::move(gmP50));

@@ -173,12 +173,15 @@ class FigArchive {
 
   bool enabled() const { return !dir_.empty(); }
 
-  /// One sweep of any method (appendSweep).
+  /// One sweep of any method (appendSweep). `xlabel` names the swept
+  /// axis; it defaults to the row's primary axis and must be given when
+  /// the bench sweeps something else.
   template <typename Point>
   void add(const std::string& id, const backend::MachineConfig& machine,
            const std::vector<std::uint64_t>& xs,
-           const std::vector<RepRun<Point>>& runs) {
-    if (enabled()) appendSweep(archive_, id, machine, xs, runs);
+           const std::vector<RepRun<Point>>& runs,
+           const std::string& xlabel = Method<typename Point::Param>::xlabel) {
+    if (enabled()) appendSweep(archive_, id, machine, xs, runs, xlabel);
   }
   /// Every per-size sweep of a family, under `<idPrefix>/<size label>`.
   template <typename Param>

@@ -198,6 +198,10 @@ CompareReport compareArchives(const report::Archive& baseline,
           "sweep '" + sa.id +
           "': machine models differ (hash " + sa.machineHash + " vs " +
           sb.machineHash + ") — deltas reflect the model, not the code");
+    if (sa.xlabel != sb.xlabel)
+      report.notes.push_back("sweep '" + sa.id + "': x-labels differ (" +
+                             sa.xlabel + " vs " + sb.xlabel +
+                             ") — points are matched by x value");
 
     std::map<double, const report::ArchivePoint*> bPoints;
     for (const auto& p : sb.points) bPoints.emplace(p.x, &p);

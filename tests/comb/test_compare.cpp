@@ -130,6 +130,17 @@ TEST(Compare, MachineHashMismatchIsNoted) {
             std::string::npos);
 }
 
+TEST(Compare, XLabelMismatchIsNoted) {
+  const auto base = archiveWith("s", "bw", true, {{1, 1, 1}});
+  auto cand = base;
+  cand.sweeps[0].xlabel = "noise_burst_us";
+  const auto report = compareArchives(base, cand, {});
+  ASSERT_EQ(report.notes.size(), 1u);
+  EXPECT_NE(report.notes[0].find("x-labels differ"), std::string::npos);
+  EXPECT_NE(report.notes[0].find("noise_burst_us"), std::string::npos);
+  EXPECT_EQ(report.rows.size(), 1u);  // still compared point by point
+}
+
 TEST(Compare, CrossCoreConfigurationIsNoted) {
   const auto base = archiveWith("s", "bw", true, {{1, 1, 1}});
   auto cand = base;
