@@ -122,12 +122,10 @@ Executor::Executor(ExecutorOptions opts)
   closeMinPlus(matrix_, n);
   nextTimes_.assign(n, kInf);
   bounds_.assign(n, 0.0);
-  mail_.resize(n * n);
+  for (auto& set : mail_) set.resize(n * n);
   scratch_.resize(n);
-  for (auto& s : shards_) {
-    s->outRings_ = &ring(s->shardId_, 0);
-    s->shardBounds_ = bounds_.data();
-  }
+  for (auto& s : shards_) s->shardBounds_ = bounds_.data();
+  pointOutRings(0);
 
   // Self-observability instruments, created once here so the window loop
   // never does a registry lookup. Each lives in a registry its owning
@@ -242,11 +240,23 @@ Time Executor::effectiveLookahead() const {
   return std::isinf(lo) ? opts_.lookahead : lo;
 }
 
+void Executor::pointOutRings(int parity) {
+  parity_ = parity;
+  for (auto& s : shards_) s->outRings_ = &ring(parity, s->shardId_, 0);
+}
+
 void Executor::planWindow() {
   const std::size_t n = shards_.size();
   Time tmin = kInf;
   bool failed = false;
   for (std::size_t i = 0; i < n; ++i) {
+    // Mail posted in the window that just ran is still in its rings;
+    // lowering T_i by it gives the T_i a fold-in before this crossing
+    // would have published.
+    for (std::size_t s = 0; s < n; ++s)
+      nextTimes_[i] = std::min(
+          nextTimes_[i],
+          ring(parity_, static_cast<int>(s), static_cast<int>(i)).minWhen());
     tmin = std::min(tmin, nextTimes_[i]);
     // Read of another shard's failure flag: the owning worker's writes
     // happened before its barrier arrival, which happens before this
@@ -298,14 +308,17 @@ void Executor::planWindow() {
     return;
   }
   ++windows_;
+  // The next window posts into the other ring set while each shard
+  // drains this one.
+  pointOutRings(parity_ ^ 1);
 }
 
-void Executor::drainShard(int d) {
+void Executor::drainShard(int d, int parity) {
   const std::size_t n = shards_.size();
   auto& scratch = scratch_[static_cast<std::size_t>(d)];
   for (std::size_t s = 0; s < n; ++s) {
     if (static_cast<int>(s) == d) continue;
-    MailboxRing& box = ring(static_cast<int>(s), d);
+    MailboxRing& box = ring(parity, static_cast<int>(s), d);
     if (!box.empty()) box.drainInto(scratch);
   }
   if (scratch.empty()) return;
@@ -331,35 +344,46 @@ void Executor::drainShard(int d) {
   scratch.clear();
 }
 
+void Executor::drainShardOrFail(int d, int parity) {
+  try {
+    drainShard(d, parity);
+  } catch (...) {
+    // Fold-in can only throw on allocation failure; record it like a
+    // process failure so the run stops deterministically.
+    shards_[static_cast<std::size_t>(d)]->recordFailure(
+        std::current_exception(), "executor:fold-in");
+  }
+}
+
 void Executor::driveShards(int w) {
   using WallClock = std::chrono::steady_clock;
   const int lo = shardLo(w);
   const int hi = shardHi(w);
   LatencyRecorder& barrierWait = *barrierWait_[static_cast<std::size_t>(w)];
+  for (int d = lo; d < hi; ++d)
+    nextTimes_[static_cast<std::size_t>(d)] =
+        shards_[static_cast<std::size_t>(d)]->nextPendingTime();
   for (;;) {
-    for (int d = lo; d < hi; ++d) {
-      ShardContext& s = *shards_[static_cast<std::size_t>(d)];
-      try {
-        drainShard(d);
-      } catch (...) {
-        // Fold-in can only throw on allocation failure; record it like a
-        // process failure so the run stops deterministically.
-        s.recordFailure(std::current_exception(), "executor:fold-in");
-      }
-      nextTimes_[static_cast<std::size_t>(d)] = s.nextPendingTime();
-    }
-    const auto planArrive = WallClock::now();
+    // The one crossing per window: it ends the run phase that just
+    // published T_d, and its completion plans the next window.
+    const auto arrive = WallClock::now();
     barrier_.arriveAndWait([this] { planWindow(); });
     barrierWait.record(
-        std::chrono::duration<double>(WallClock::now() - planArrive).count());
+        std::chrono::duration<double>(WallClock::now() - arrive).count());
     if (done_) {
-      // One more crossing: no worker is still recording when run()
-      // returns and its caller reads the registries.
+      // Fold in the mail planWindow just read (posted in the last window,
+      // or before run()), so a later run() sees it; then one more
+      // crossing: no worker is still folding or recording when run()
+      // returns and its caller reads the queues and registries.
+      for (int d = lo; d < hi; ++d) drainShardOrFail(d, parity_);
       barrier_.arriveAndWait([] {});
       return;
     }
     for (int d = lo; d < hi; ++d) {
       ShardContext& s = *shards_[static_cast<std::size_t>(d)];
+      // The previous window's mail: its sources are done writing it, and
+      // planWindow already lowered T_d by it.
+      drainShardOrFail(d, parity_ ^ 1);
       const std::uint64_t before = s.eventsExecuted();
       if (nextTimes_[static_cast<std::size_t>(d)] <
           bounds_[static_cast<std::size_t>(d)])
@@ -367,11 +391,8 @@ void Executor::driveShards(int w) {
       // Window occupancy, idle windows included — the imbalance signal.
       windowEvents_[static_cast<std::size_t>(d)]->add(
           static_cast<double>(s.eventsExecuted() - before));
+      nextTimes_[static_cast<std::size_t>(d)] = s.nextPendingTime();
     }
-    const auto syncArrive = WallClock::now();
-    barrier_.arriveAndWait([] {});
-    barrierWait.record(
-        std::chrono::duration<double>(WallClock::now() - syncArrive).count());
   }
 }
 
@@ -407,9 +428,13 @@ Time Executor::run(Time until) {
   runGen_.fetch_add(1, std::memory_order_release);
   runGen_.notify_all();
   driveShards(0);
+  // Mail posted between runs goes to the ring set the next run's first
+  // crossing reads.
+  pointOutRings(0);
 
   // The final planWindow set done_ under the barrier, and every worker
-  // crossed once more after it, so all shard state is visible here.
+  // folded in its mail and crossed once more after it, so all shard
+  // state is visible here.
   if (windowError_) std::rethrow_exception(windowError_);
   // Deterministic failure selection: lowest shard index wins, same
   // convention as parallelFor and runSweepParallel.

@@ -231,9 +231,10 @@ class ShardContext {
   int shardId_ = 0;
   bool sharded_ = false;
   std::uint64_t nextRemoteSeq_ = 0;
-  /// Row of the Executor's mailbox array for this source shard:
-  /// outRings_[d] is the (this, d) ring. Set once at Executor
-  /// construction; null for standalone contexts.
+  /// Row of the Executor's current-parity mailbox ring set for this
+  /// source shard: outRings_[d] is the (this, d) ring. Re-pointed by the
+  /// window planner under the barrier and between runs; null for
+  /// standalone contexts.
   MailboxRing* outRings_ = nullptr;
   /// The Executor's per-shard window bounds (bounds_.data()), for the
   /// postRemote lookahead assert. Written by the window planner under

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -259,6 +260,68 @@ TEST(Executor, MatrixWindowsStillMatchScalarResults) {
   const auto widened = runWith(true);
   EXPECT_EQ(scalar.first, widened.first);
   EXPECT_LE(widened.second, scalar.second);
+}
+
+TEST(Executor, OneBarrierCrossingPerWindow) {
+  // Each window ends with one crossing, and the first crossing plans the
+  // first window, so every worker records windows + 1 waits. (The final
+  // crossing after termination is not recorded.)
+  constexpr Time kLookahead = 0.5;
+  Executor exec(options(2, kLookahead, 2));
+  struct Hop {
+    Executor& exec;
+    void operator()(int s, int hop) const {
+      if (hop >= 10) return;
+      ShardContext& ctx = exec.shard(s);
+      Hop self{exec};
+      ctx.postRemote(exec.shard(1 - s), ctx.now() + kLookahead,
+                     [self, s, hop] { self(1 - s, hop + 1); });
+    }
+  };
+  exec.shard(0).schedule(0.0, [&exec] { Hop{exec}(0, 0); });
+  exec.run();
+  ASSERT_EQ(exec.workers(), 2);
+  ASSERT_GT(exec.windowsExecuted(), 10u);
+  for (int w = 0; w < 2; ++w)
+    EXPECT_EQ(exec.shard(w)
+                  .metrics()
+                  .latency("exec.w" + std::to_string(w) + ".barrier_wait")
+                  .count(),
+              exec.windowsExecuted() + 1)
+        << "worker " << w;
+}
+
+TEST(Executor, CrossShardMailBeyondUntilArrivesOnNextRun) {
+  // Shard 0 posts to shard 1 in the last window of run(2.0), for t = 2.5
+  // (past `until`): the event must wait for the next run() and then run
+  // at its own time. A post made between the runs must arrive too.
+  constexpr Time kLookahead = 1.0;
+  auto runWith = [&](int workers) {
+    Executor exec(options(2, kLookahead, workers));
+    std::vector<Trace> traces(2);
+    ShardContext& src = exec.shard(0);
+    ShardContext& dst = exec.shard(1);
+    Trace& delivered = traces[1];
+    src.schedule(1.5, [&] {
+      traces[0].emplace_back(src.now(), 0);
+      src.postRemote(dst, src.now() + kLookahead,
+                     [&] { delivered.emplace_back(dst.now(), 1); });
+    });
+    EXPECT_DOUBLE_EQ(exec.run(2.0), 2.0);
+    EXPECT_TRUE(delivered.empty()) << "mail past `until` ran early";
+    const std::uint64_t firstWindows = exec.windowsExecuted();
+    src.postRemote(dst, 3.0, [&] { delivered.emplace_back(dst.now(), 2); });
+    EXPECT_DOUBLE_EQ(exec.run(), 3.0);
+    EXPECT_GT(exec.windowsExecuted(), firstWindows);
+    EXPECT_EQ(exec.eventsExecuted(), 3u);
+    return traces;
+  };
+  const auto serial = runWith(1);
+  ASSERT_EQ(serial[0].size(), 1u);
+  ASSERT_EQ(serial[1].size(), 2u);
+  EXPECT_EQ(serial[1][0], std::make_pair(2.5, 1));
+  EXPECT_EQ(serial[1][1], std::make_pair(3.0, 2));
+  EXPECT_EQ(serial, runWith(2));
 }
 
 TEST(Executor, AffinityPolicyParsesAndRoundTrips) {

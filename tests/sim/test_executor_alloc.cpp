@@ -1,7 +1,7 @@
 // Steady-state allocation regression for the sharded window loop: after
-// a warm-up run has grown the event pools, mailbox slots and fold-in
-// scratch to capacity, a multi-window cross-shard run must not touch the
-// heap at all — no per-window closures, no per-message boxes, no barrier
+// a warm-up run has grown the event pools, both parities' mailbox slots
+// and the fold-in scratch to capacity, a multi-window cross-shard run
+// (including its fold-in at stop) must not touch the heap at all — no per-window closures, no per-message boxes, no barrier
 // bookkeeping. Guarded the same way as the TraceLog test: operator new
 // is replaced binary-wide and counted.
 #include "sim/executor.hpp"
@@ -36,8 +36,9 @@ namespace {
 constexpr Time kLookahead = 1.0;
 
 /// Endless cross-shard ping-pong: one event per window, every hop posted
-/// through the mailbox rings. Small enough to live inline in an event
-/// closure — any heap traffic the counter sees comes from the executor.
+/// through the mailbox rings (alternating parity, so both sets warm up).
+/// Small enough to live inline in an event closure — any heap traffic
+/// the counter sees comes from the executor.
 struct PingPong {
   Executor& exec;
   std::uint64_t hops = 0;

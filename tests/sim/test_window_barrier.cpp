@@ -3,12 +3,14 @@
 // run real thread teams through many generations (completion runs
 // exactly once per window, on exactly one thread, and its writes are
 // visible to every participant afterwards); the mailbox tests pin down
-// append order, spill behavior beyond the fixed slots, and reuse.
+// append order, spill behavior beyond the fixed slots, reuse, and the
+// earliest-`when` tracking the window planner reads.
 #include "sim/window_barrier.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -112,6 +114,27 @@ TEST(MailboxRing, ReusableAcrossWindowsAndCarriesPayload) {
     EXPECT_TRUE(ring.empty());
   }
   EXPECT_EQ(fired, 3 * 11);
+}
+
+TEST(MailboxRing, TracksEarliestWhenAcrossSlotsAndSpill) {
+  constexpr Time kInf = std::numeric_limits<Time>::infinity();
+  MailboxRing ring;
+  EXPECT_EQ(ring.minWhen(), kInf);
+  for (std::size_t i = 0; i < MailboxRing::kSlots; ++i)
+    ring.push(10.0 + static_cast<Time>(i), i, 0, [] {});
+  EXPECT_EQ(ring.minWhen(), 10.0);
+  ring.push(4.0, MailboxRing::kSlots, 0, [] {});  // spills
+  EXPECT_EQ(ring.minWhen(), 4.0);
+  ring.push(7.0, MailboxRing::kSlots + 1, 0, [] {});
+  EXPECT_EQ(ring.minWhen(), 4.0);
+
+  std::vector<RemoteEvent> out;
+  ring.drainInto(out);
+  EXPECT_EQ(ring.minWhen(), kInf);
+  ring.push(12.0, 0, 0, [] {});  // reuse starts from a clean minimum
+  EXPECT_EQ(ring.minWhen(), 12.0);
+  ring.drainInto(out);
+  EXPECT_EQ(ring.minWhen(), kInf);
 }
 
 }  // namespace
