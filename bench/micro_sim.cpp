@@ -285,9 +285,11 @@ void BM_CongestionIncastSharded(benchmark::State& state) {
 }
 BENCHMARK(BM_CongestionIncastSharded)
     ->Args({256, 1})
+    ->Args({256, 2})
     ->Args({256, 4})
     ->Args({256, 8})
     ->Args({1024, 1})
+    ->Args({1024, 2})
     ->Args({1024, 4})
     ->Args({1024, 8})
     ->Args({4096, 1})
