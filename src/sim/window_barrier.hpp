@@ -79,8 +79,10 @@ class EpochBarrier {
   static constexpr int kSpinLimit = 2048;
 
   const int participants_;
-  std::atomic<int> arrived_{0};
-  std::atomic<std::uint64_t> generation_{0};
+  // Separate cache lines: waiters spin on generation_ while arrivals
+  // update arrived_.
+  alignas(64) std::atomic<int> arrived_{0};
+  alignas(64) std::atomic<std::uint64_t> generation_{0};
 };
 
 }  // namespace comb::sim
