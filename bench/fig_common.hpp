@@ -1,8 +1,9 @@
-// Shared scaffolding for the per-figure bench binaries.
+// Shared scaffolding for the figure benches: the paper bench (paper.cpp)
+// and the ext_* and ablate_* benches.
 //
 // Every figure bench:
 //   * runs the relevant COMB sweeps on the simulated machine(s),
-//   * prints the figure as an ASCII plot + data table,
+//   * prints each figure as an ASCII plot + data table,
 //   * evaluates the paper's shape expectations (PASS/FAIL lines),
 //   * optionally writes CSV (--csv [--out DIR]),
 //   * exits non-zero if a shape expectation fails.
@@ -11,6 +12,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -49,14 +51,24 @@ struct FigArgs {
   int exitCode = 0;      ///< 0 after --help, 2 on invalid arguments
 };
 
+/// Options a bench adds to the common set: `declare` registers them
+/// before parsing; `read` reads and validates them after the common ones
+/// and throws comb::Error to reject the arguments.
+struct ExtraArgs {
+  std::function<void(ArgParser&)> declare;
+  std::function<void(const ArgParser&, const FigArgs&)> read;
+};
+
 /// Parse and *validate* the common figure-bench arguments. Bad values
 /// (non-numeric, --points-per-decade < 1, or any run option that
 /// runOptionsFrom rejects) are reported on stderr at parse time with
 /// parsedOk=false / exitCode=2, instead of failing later inside the sweep.
 inline FigArgs parseFigArgs(int argc, const char* const* argv,
                             const std::string& name,
-                            const std::string& description) {
+                            const std::string& description,
+                            const ExtraArgs& extra = {}) {
   ArgParser parser(name, description);
+  if (extra.declare) extra.declare(parser);
   parser.addFlag("csv", "also write the series as CSV");
   parser.addOption("out", "directory for CSV output", "bench_out");
   parser.addOption("points-per-decade", "sweep density on log axes", "2");
@@ -81,6 +93,7 @@ inline FigArgs parseFigArgs(int argc, const char* const* argv,
     args.outDir = parser.str("out");
     args.traceFile = parser.str("trace");
     args.archiveDir = parser.str("archive");
+    if (extra.read) extra.read(parser, args);
     if (!args.traceFile.empty()) {
       // Fail at parse time, not after minutes of sweeping: the trace file
       // must be writable now.
@@ -128,41 +141,11 @@ std::vector<Point> canonicalPoints(const std::vector<RepRun<Point>>& runs) {
   return points;
 }
 
-/// Sweeps of one method per message size: `repRuns` carries every
-/// repetition for the archive; `results` is the canonical rep-0 view the
-/// figures plot (many figures want availability or bandwidth of each).
-template <typename Param>
-struct Family {
-  std::vector<Bytes> sizes;
-  std::vector<std::uint64_t> xs;
-  // results[size][point]
-  std::vector<std::vector<PointOf<Param>>> results;
-  std::vector<std::vector<RepRun<PointOf<Param>>>> repRuns;
-};
-
-/// Sweep `xs` over the row's primary axis once per message size, from
-/// the preset base of each size (presets::pollingBase, presets::pwwBase).
-template <typename Param>
-Family<Param> runFamily(const backend::MachineConfig& machine,
-                        Param (*base)(Bytes), const std::vector<Bytes>& sizes,
-                        std::vector<std::uint64_t> xs,
-                        const RunOptions& opts = {}) {
-  Family<Param> fam;
-  fam.sizes = sizes;
-  fam.xs = std::move(xs);
-  for (const Bytes size : sizes) {
-    fam.repRuns.push_back(runSweepReps(machine, sweepOver(base(size), fam.xs),
-                                       opts));
-    fam.results.push_back(canonicalPoints(fam.repRuns.back()));
-  }
-  return fam;
-}
-
 /// Accumulates sweeps into a result archive when --archive was given;
 /// otherwise every call is a no-op. Typical figure-bench use:
 ///
-///   FigArchive archive("fig05_polling_bw_portals", args);
-///   archive.add("polling/portals", machine, fam);
+///   FigArchive archive("ext_latency_vs_size", args);
+///   archive.add("latency/gm", backend::gmMachine(), sizes, gmRuns);
 ///   archive.write();
 class FigArchive {
  public:
@@ -182,14 +165,6 @@ class FigArchive {
            const std::vector<RepRun<Point>>& runs,
            const std::string& xlabel = Method<typename Point::Param>::xlabel) {
     if (enabled()) appendSweep(archive_, id, machine, xs, runs, xlabel);
-  }
-  /// Every per-size sweep of a family, under `<idPrefix>/<size label>`.
-  template <typename Param>
-  void add(const std::string& idPrefix, const backend::MachineConfig& machine,
-           const Family<Param>& fam) {
-    for (std::size_t i = 0; i < fam.sizes.size(); ++i)
-      add(idPrefix + "/" + sizeLabel(fam.sizes[i]), machine, fam.xs,
-          fam.repRuns[i]);
   }
 
   /// Write the archive file (creating the directory) and log its path.

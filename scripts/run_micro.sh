@@ -2,11 +2,13 @@
 # Simulator-core performance proof for the allocation-free hot path
 # (pooled events, inline event closures, pooled wire payloads):
 #
-#   1. Release-build bench/micro_sim plus two representative figure
-#      sweeps — fig04 (event/interrupt bound) and fig08 (packet bound);
+#   1. Release-build bench/micro_sim plus the paper bench, which runs
+#      two representative figures — fig04 (event/interrupt bound) and
+#      fig08 (packet bound);
 #   2. run the google-benchmark suite to JSON;
-#   3. wall-clock both figure sweeps at --jobs 1 (bash's EPOCHREALTIME —
-#      the container has no /usr/bin/time);
+#   3. wall-clock `paper --figure fig04` and `--figure fig08` at --jobs 1
+#      (bash's EPOCHREALTIME — the container has no /usr/bin/time), each
+#      recorded under its figure's archive bench name;
 #   4. fold the numbers into BENCH_sim_core.json via stdlib python3:
 #      the "current" block is refreshed, the committed "baseline" block
 #      (measured on the pre-optimization tree) is preserved, and the
@@ -21,7 +23,7 @@ BUILD=build-perf
 FIGS=(fig04_polling_avail_portals fig08_polling_bw_gm_vs_portals)
 
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$BUILD" -j --target micro_sim "${FIGS[@]}"
+cmake --build "$BUILD" -j --target micro_sim paper
 
 raw=$(mktemp) wall=$(mktemp)
 trap 'rm -f "$raw" "$wall"' EXIT
@@ -31,7 +33,8 @@ trap 'rm -f "$raw" "$wall"' EXIT
 for fig in "${FIGS[@]}"; do
   scratch=$(mktemp -d)
   start=$EPOCHREALTIME
-  "$BUILD"/bench/"$fig" --jobs 1 --csv --out "$scratch" >/dev/null
+  "$BUILD"/bench/paper --figure "${fig%%_*}" --jobs 1 --csv --out "$scratch" \
+    >/dev/null
   end=$EPOCHREALTIME
   rm -rf "$scratch"
   echo "$fig $start $end" >> "$wall"

@@ -3,8 +3,9 @@
 #   1. standard build + the full test suite;
 #   2. rebuild the concurrency-sensitive pieces under ThreadSanitizer
 #      (-DCOMB_SANITIZE=thread) and run the thread-pool / parallel-sweep /
-#      logger tests, which exercise every cross-thread interaction the
-#      parallel sweep executor introduces — plus the fault-injection
+#      logger / point-memo tests, which exercise every cross-thread
+#      interaction the parallel sweep executor and the paper bench's
+#      batched point memo introduce — plus the fault-injection
 #      tests (`faults` label), whose parallel sweeps run retransmission
 #      machinery on every worker thread — and the tracing/observability
 #      tests (`trace` label), whose TraceLog rides along with parallel
@@ -88,7 +89,7 @@ build_tsan() {
       test_log test_thread_comb test_fault test_fault_injection \
       test_tracelog test_trace_export test_audit test_executor test_pdes \
       test_window_barrier test_executor_alloc test_tail_observability \
-      test_progress_thread test_rdma test_reliable_link
+      test_progress_thread test_rdma test_reliable_link test_paper
 }
 build_asan() {
   cmake -B build-asan -S . -DCOMB_SANITIZE=address \
@@ -116,7 +117,7 @@ run_stage "build"            build_standard
 run_stage "tests"            ctest_checked build
 run_stage "tsan build"       build_tsan
 run_stage "tsan concurrency" ctest_checked build-tsan \
-  -R 'ThreadPool|ParallelFor|ParallelSweep|LogSweep|Log\.|Runner'
+  -R 'ThreadPool|ParallelFor|ParallelSweep|LogSweep|Log\.|Runner|PointMemo'
 run_stage "tsan faults"      ctest_checked build-tsan -L faults
 run_stage "tsan trace"       ctest_checked build-tsan -L trace
 run_stage "tsan pdes"        ctest_checked build-tsan -L pdes

@@ -31,6 +31,8 @@ struct PollingParams {
 
   mpi::Tag dataTag = 1;
   mpi::Tag ctrlTag = 2;
+
+  bool operator==(const PollingParams&) const = default;
 };
 
 struct PollingPoint {
@@ -79,6 +81,8 @@ struct PwwParams {
   double testCallAtFraction = -1.0;
 
   mpi::Tag dataTag = 1;
+
+  bool operator==(const PwwParams&) const = default;
 };
 
 struct PwwPoint {

@@ -1,7 +1,7 @@
-// parseFigArgs is shared by all 21 figure/ablation/extension benches;
-// these tests pin down its parse-time validation (satellite of the
-// parallel-sweep PR): bad values must be rejected up front with
-// exitCode 2 instead of exploding later inside COMB_REQUIRE mid-sweep.
+// parseFigArgs is shared by the paper bench and every ablation and
+// extension bench; these tests pin down its parse-time validation: bad
+// values must be rejected up front with exitCode 2 instead of exploding
+// later inside COMB_REQUIRE mid-sweep.
 #include "bench/fig_common.hpp"
 
 #include <gtest/gtest.h>
